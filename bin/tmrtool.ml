@@ -104,52 +104,6 @@ let voter_t =
            tmr_err_* ports; campaigns classify every fault into the \
            detected-vs-silent verdict taxonomy).")
 
-let no_diff_t =
-  Arg.(
-    value & flag
-    & info [ "no-diff" ]
-        ~doc:
-          "Disable the differential fault-simulation engine (baseline tape \
-           + cone-restricted event-driven evaluation + convergence \
-           early-exit); every patch/reroute fault then replays the full \
-           DUT.  Results are bit-identical either way.")
-
-(* --batch-width N with --no-batch as an alias for 0; anything outside
-   {0, 32, 64} is rejected at parse time. *)
-let batch_width_t =
-  let bw_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some ((0 | 32 | 64) as w) -> Ok w
-      | Some _ | None ->
-          Error (`Msg "batch width must be 0, 32 or 64")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  let width_t =
-    Arg.(
-      value & opt bw_conv 64
-      & info [ "batch-width" ] ~docv:"N"
-          ~doc:
-            "Lanes per machine word for the bit-parallel batch engine: 64 \
-             (default), 32, or 0 to disable batching.  The batch engine \
-             packs patch/reroute faults with structurally close fanout \
-             cones into the bit lanes of one word-parallel differential \
-             cone walk; verdicts are bit-identical to the scalar engine's \
-             fault by fault.")
-  in
-  let no_batch_t =
-    Arg.(
-      value & flag
-      & info [ "no-batch" ]
-          ~doc:
-            "Alias for $(b,--batch-width)=0: run every differential fault \
-             on the scalar engine.")
-  in
-  Term.(
-    const (fun width no_batch -> if no_batch then 0 else width)
-    $ width_t $ no_batch_t)
-
 let mk_ctx scale seed faults =
   Context.create ~scale ~seed ~faults_per_design:faults ()
 
@@ -332,7 +286,7 @@ let engine_summary (c : Campaign.t) =
             h.Metrics.count (dur_pp h.Metrics.p50) (dur_pp h.Metrics.p95)
             (dur_pp h.Metrics.p99)
       | _ -> ())
-    [ "silent"; "patch"; "reroute"; "rebuild"; "diff"; "batch" ]
+    [ "silent"; "rebuild"; "diff"; "batch" ]
 
 (* --- campaign statistics options --- *)
 
@@ -671,13 +625,13 @@ let inject_cmd =
   in
   (* inject via the shard engine: plan → (resume) → claim → merge *)
   let run_sharded_inject ~telem ~confidence ~scale ~seed ~faults ~design
-      ~voter ~no_diff ~batch_width ~json ~store ~exhaustive ~shards ~procs
-      ~shard_dir ~shard_limit ~fresh ~merged_out =
+      ~voter ~json ~store ~exhaustive ~shards ~procs ~shard_dir ~shard_limit
+      ~fresh ~merged_out =
     let ctx = mk_ctx scale seed faults in
     let r = Runs.implement_design ~voter ctx design in
     let job =
       Service.job ~scale ~seed ~faults ~exhaustive ?shards
-        ?workers:(jobs ()) ~diff:(not no_diff) ~batch_width ~voter design
+        ?workers:(jobs ()) ~voter design
     in
     let dir =
       match shard_dir with
@@ -735,8 +689,7 @@ let inject_cmd =
                 o.Service.o_spools
             in
             let m =
-              Store.of_run ~confidence ~diff:(not no_diff) ~exhaustive
-                ?events_path:events_spec ~spools ctx
+              Store.of_run ~confidence ~exhaustive ?events_path:events_spec ~spools ctx
                 { r with Runs.campaign = Some c }
             in
             Printf.eprintf "stored %s\n" (Store.save ~dir m))
@@ -760,8 +713,7 @@ let inject_cmd =
           engine_summary c
         end
   in
-  let run telem forensics scale seed faults design voter no_diff batch_width
-      json confidence stop_ci stop_min store exhaustive shards procs shard_dir
+  let run telem forensics scale seed faults design voter json confidence stop_ci stop_min store exhaustive shards procs shard_dir
       shard_limit fresh merged_out =
     let sharded =
       exhaustive || procs > 1 || shards <> None || shard_dir <> None
@@ -787,16 +739,16 @@ let inject_cmd =
     with_forensics forensics @@ fun () ->
     if sharded then
       run_sharded_inject ~telem ~confidence ~scale ~seed ~faults ~design
-        ~voter ~no_diff ~batch_width ~json ~store ~exhaustive ~shards ~procs
-        ~shard_dir ~shard_limit ~fresh ~merged_out
+        ~voter ~json ~store ~exhaustive ~shards ~procs ~shard_dir ~shard_limit
+        ~fresh ~merged_out
     else begin
       let ctx = mk_ctx scale seed faults in
       let r = Runs.implement_design ~voter ctx design in
       let stop = stop_rule_of ~confidence ~stop_min stop_ci in
       let progress, flush = ci_progress ~confidence () in
       let r =
-        Runs.campaign_design ~progress ?workers:(jobs ()) ~diff:(not no_diff)
-          ~batch_width ?stop_at_ci:stop ctx r
+        Runs.campaign_design ~progress ?workers:(jobs ()) ?stop_at_ci:stop ctx
+          r
       in
       flush ();
       match r.Runs.campaign with
@@ -806,8 +758,7 @@ let inject_cmd =
             (fun dir ->
               let _, _, events_spec, _ = telem in
               let m =
-                Store.of_run ~confidence ~diff:(not no_diff)
-                  ~forensics:(forensics <> None) ?stop
+                Store.of_run ~confidence ~forensics:(forensics <> None) ?stop
                   ?events_path:events_spec ctx r
               in
               Printf.eprintf "stored %s\n" (Store.save ~dir m))
@@ -832,7 +783,7 @@ let inject_cmd =
     (Cmd.info "inject" ~doc:"fault-injection campaign on one design")
     Term.(
       const run $ telemetry_t $ forensics_file_t $ scale_t $ seed_t $ faults_t
-      $ design_t $ voter_t $ no_diff_t $ batch_width_t $ json_t $ confidence_t
+      $ design_t $ voter_t $ json_t $ confidence_t
       $ stop_ci_t $ stop_min_t $ inject_store_t $ exhaustive_t $ shards_t
       $ procs_t $ shard_dir_t $ shard_limit_t $ fresh_t $ merged_out_t)
 
@@ -1277,7 +1228,7 @@ let tables_cmd =
              reproduces the paper's majority-voter numbers while \
              re-measuring the partition optimum under every variant.")
   in
-  let run telem forensics scale seed faults no_diff batch_width voters json =
+  let run telem forensics scale seed faults voters json =
     with_telemetry telem @@ fun () ->
     with_forensics forensics @@ fun () ->
     let ctx = mk_ctx scale seed faults in
@@ -1294,8 +1245,7 @@ let tables_cmd =
     end;
     let progress, flush = ci_progress ~confidence:0.95 () in
     let campaign =
-      Runs.campaign_design ~progress ?workers:(jobs ()) ~diff:(not no_diff)
-        ~batch_width ~forensics:true ctx
+      Runs.campaign_design ~progress ?workers:(jobs ()) ~forensics:true ctx
     in
     let runs = List.map campaign impls in
     (* the remaining voter variants, campaigned over the same fault
@@ -1337,7 +1287,7 @@ let tables_cmd =
           and the per-voter detection coverage comparison")
     Term.(
       const run $ telemetry_t $ forensics_file_t $ scale_t $ seed_t $ faults_t
-      $ no_diff_t $ batch_width_t $ voters_t $ tables_json_t)
+      $ voters_t $ tables_json_t)
 
 (* --- profile --- *)
 
@@ -1522,133 +1472,9 @@ let watch_cmd =
       const run $ source_t $ follow_t $ watch_json_t $ confidence_t
       $ worker_timeout_t)
 
-(* --- serve / submit --- *)
-
-let host_t =
-  Arg.(
-    value & opt string "127.0.0.1"
-    & info [ "host" ] ~docv:"ADDR" ~doc:"bind/connect address")
-
-let serve_cmd =
-  let port_t =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "listen" ] ~docv:"PORT" ~doc:"TCP port to listen on")
-  in
-  let dir_t =
-    Arg.(
-      value & opt string ".tmr-service"
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:
-            "Queue root: each job runs its shard queue under \
-             $(docv)/<job name> (so re-submitting an interrupted job \
-             resumes it) and leaves <job name>.summary.json behind.")
-  in
-  let max_jobs_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-jobs" ] ~docv:"N"
-          ~doc:"Exit after $(docv) completed jobs (tests/CI).")
-  in
-  let serve_procs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "procs" ] ~docv:"P"
-          ~doc:"Worker processes forked per job (see $(b,inject --procs)).")
-  in
-  let run host port dir max_jobs procs =
-    Printf.eprintf "tmrtool serve: listening on %s:%d, queue root %s\n%!"
-      host port dir;
-    Service.serve ~host ?max_jobs ~procs ~port ~dir ()
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "campaign-as-a-service: accept newline-delimited JSON campaign \
-          jobs over TCP, run them through the sharded engine, stream \
-          progress events to every connected client")
-    Term.(
-      const run $ host_t $ port_t $ dir_t $ max_jobs_t $ serve_procs_t)
-
-let submit_cmd =
-  let port_t =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "port" ] ~docv:"PORT" ~doc:"server TCP port")
-  in
-  let workers_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"W"
-          ~doc:"domain workers per process, on the server")
-  in
-  let run host port scale seed faults design voter exhaustive shards workers
-      no_diff batch_width =
-    let j =
-      Service.job ~scale ~seed ~faults ~exhaustive ?shards ?workers
-        ~diff:(not no_diff) ~batch_width ~voter design
-    in
-    let jname = Service.job_name j in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-     with Unix.Unix_error (e, _, _) ->
-       Printf.eprintf "tmrtool submit: cannot connect to %s:%d: %s\n" host
-         port (Unix.error_message e);
-       exit 1);
-    let oc = Unix.out_channel_of_descr fd in
-    let ic = Unix.in_channel_of_descr fd in
-    output_string oc (Tmr_obs.Json.to_string (Service.job_to_json j));
-    output_char oc '\n';
-    flush oc;
-    Printf.eprintf "submitted %s to %s:%d\n%!" jname host port;
-    (* relay the server's event stream until our job completes; other
-       clients' events ride along, which is the point of the service *)
-    let done_ = ref false in
-    (try
-       while not !done_ do
-         let line = input_line ic in
-         (match Tmr_obs.Json.parse line with
-         | Ok js -> (
-             match Option.bind (Tmr_obs.Json.member "error" js) Tmr_obs.Json.str with
-             | Some e ->
-                 Printf.eprintf "tmrtool submit: server rejected the job: %s\n" e;
-                 exit 1
-             | None -> ())
-         | Error _ -> ());
-         print_endline line;
-         match Tmr_obs.Events.parse_line line with
-         | Ok { Tmr_obs.Events.p_event = Tmr_obs.Events.Job_done { job; _ }; _ }
-           when job = jname ->
-             done_ := true
-         | Ok _ | Error _ -> ()
-       done
-     with End_of_file -> ());
-    (try Unix.close fd with _ -> ());
-    if not !done_ then begin
-      Printf.eprintf
-        "tmrtool submit: server closed the stream before %s completed\n"
-        jname;
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "submit"
-       ~doc:
-         "submit one campaign job to a running $(b,tmrtool serve) and \
-          relay its event stream (JSONL on stdout) until the job is done")
-    Term.(
-      const run $ host_t $ port_t $ scale_t $ seed_t $ faults_t $ design_t
-      $ voter_t $ exhaustive_t $ shards_t $ workers_t $ no_diff_t
-      $ batch_width_t)
-
 let () =
   let doc = "optimal TMR voter partitioning on an SRAM FPGA (DATE'05 reproduction)" in
   let info = Cmd.info "tmrtool" ~doc ~version:(Store.version_string ()) in
   exit (Cmd.eval (Cmd.group info
        [ report_cmd; implement_cmd; inject_cmd; explain_cmd; congestion_cmd;
-         export_cmd; tables_cmd; profile_cmd; watch_cmd; serve_cmd;
-         submit_cmd ]))
+         export_cmd; tables_cmd; profile_cmd; watch_cmd ]))

@@ -24,24 +24,22 @@ val campaign_design :
   ?progress:(string -> Tmr_inject.Campaign.progress -> unit) ->
   ?workers:int ->
   ?cone_skip:bool ->
-  ?diff:bool ->
   ?forensics:bool ->
   ?stop_at_ci:Tmr_obs.Stats.stop_rule ->
-  ?batch_width:int ->
   Context.t ->
   design_run ->
   design_run
 (** Add the fault-injection campaign ([Context.faults_per_design] random
     DUT bits).  [progress] receives the design name plus the campaign's
     progress snapshot (completed / total / running wrong count); the
-    engine options are forwarded to {!Tmr_inject.Campaign.run}. *)
+    options are forwarded to {!Tmr_inject.Campaign.run}, where
+    [cone_skip:false] selects the full-rebuild oracle. *)
 
 val run_all :
   ?progress:(string -> Tmr_inject.Campaign.progress -> unit) ->
   ?workers:int ->
   ?forensics:bool ->
   ?stop_at_ci:Tmr_obs.Stats.stop_rule ->
-  ?batch_width:int ->
   ?voter:Tmr_core.Voter.variant ->
   Context.t ->
   design_run list

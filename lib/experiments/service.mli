@@ -1,16 +1,13 @@
-(** Distributed campaign driver: sharded, resumable, multi-process runs
-    and the campaign-as-a-service TCP front end.
+(** Distributed campaign driver: sharded, resumable, multi-process runs.
 
-    The execution model stacks three layers of parallelism:
+    The execution model stacks two layers of parallelism:
 
     - inside one process, {!Tmr_inject.Campaign.run} spreads a shard's
       faults over a domain {!Tmr_inject.Pool};
     - {!run_sharded} splits the whole fault-index space into
       {!Tmr_inject.Shard} ranges kept in an on-disk
       {!Tmr_inject.Workqueue}, and with [procs >= 2] forks that many
-      worker processes which claim ranges until the queue drains;
-    - {!serve} accepts campaign jobs over TCP and feeds them through
-      {!run_sharded}, streaming progress to every connected client.
+      worker processes which claim ranges until the queue drains.
 
     Because each per-fault verdict is a pure function of the fault bit,
     the merged result is bit-identical to a single-process campaign over
@@ -27,27 +24,22 @@ type job = {
           CI-free wrong-answer rate of the paper's Table 3 argument *)
   j_shards : int;  (** checkpointable ranges to plan *)
   j_workers : int;  (** domain workers per process *)
-  j_diff : bool;
-  j_batch_width : int;
   j_voter : Tmr_core.Voter.variant;
       (** voter macro the design is built with; part of the job
           fingerprint, so a resume never mixes voter variants *)
 }
 
 val job : ?scale:Context.scale -> ?seed:int -> ?faults:int ->
-  ?exhaustive:bool -> ?shards:int -> ?workers:int -> ?diff:bool ->
-  ?batch_width:int -> ?voter:Tmr_core.Voter.variant ->
-  Tmr_core.Partition.strategy -> job
+  ?exhaustive:bool -> ?shards:int -> ?workers:int ->
+  ?voter:Tmr_core.Voter.variant -> Tmr_core.Partition.strategy -> job
 (** Defaults: paper scale, seed 1, 1500 faults, sampled, 16 shards,
-    1 worker, diff on, batch width 64, majority voter. *)
+    1 worker, majority voter. *)
 
 val job_name : job -> string
 (** Stable human-readable id, e.g. ["tmr_p2-reduced-seed1-exhaustive"] —
-    the [job] field of the service's stream events and the natural
-    per-job queue directory name. *)
+    the natural per-job queue directory name. *)
 
 val job_to_json : job -> Tmr_obs.Json.t
-val job_of_json : Tmr_obs.Json.t -> (job, string) result
 
 val faults_of : Context.t -> Runs.design_run -> job -> int array
 (** The job's fault-index space: the full essential-bit list when
@@ -132,8 +124,7 @@ val run_sharded :
     [Incomplete] unless everything else was already done.
 
     [notify] (default {!Tmr_obs.Events.publish}) receives
-    [Shard_done] after every completed range — [serve] points it at its
-    own broadcast stream.
+    [Shard_done] after every completed range.
 
     A crashed worker's claim is reclaimed on the next invocation (dead
     owner pid), so a kill -9 mid-shard costs at most that shard's work. *)
@@ -148,28 +139,3 @@ val summary_json : job -> status -> string
 (** One-line JSON: the job name plus either the merged campaign summary
     (see {!Tmr_inject.Campaign.summary_json}, with [exhaustive] and
     shard counts spliced in) or the incomplete shard tally. *)
-
-val serve :
-  ?host:string ->
-  ?max_jobs:int ->
-  ?procs:int ->
-  port:int ->
-  dir:string ->
-  unit ->
-  unit
-(** Campaign-as-a-service: listen on [host]:[port] (default 127.0.0.1),
-    accept newline-delimited JSON jobs ({!job_of_json}) from any number
-    of concurrent clients, queue them, and run them sequentially through
-    {!run_sharded} (each under [dir]/<job name>, so re-submitting an
-    interrupted job resumes it).
-
-    Every connected client receives the full event stream as JSONL in
-    {!Tmr_obs.Events.render} format — [job_queued] / [job_started] /
-    campaign progress / [shard_done] / [job_done] — with a server-local
-    dense [seq].  A malformed job line is answered with one
-    [{"error":...}] line on the offending client only.
-
-    Implementations are cached per (scale, seed, design), so repeated
-    jobs against the same design skip the CAD flow.  [max_jobs] stops
-    the server after that many jobs completed (tests/CI); otherwise it
-    serves until the process is interrupted. *)

@@ -21,8 +21,6 @@ type manifest = {
   m_events_seq : int option;
   m_spools : spool_ref list;
   m_workers : int;
-  m_cone_skip : bool;
-  m_diff : bool;
   m_forensics : bool;
   m_stop : Stats.stop_rule option;
   m_exhaustive : bool;
@@ -53,7 +51,7 @@ let scale_name = function
   | Context.Paper -> "paper"
   | Context.Reduced -> "reduced"
 
-let tool_version = "0.9.0"
+let tool_version = "0.10.0"
 
 let iso8601 t =
   let tm = Unix.gmtime t in
@@ -75,9 +73,8 @@ let git_commit =
 let version_string () =
   Printf.sprintf "tmrtool %s (git %s)" tool_version (Lazy.force git_commit)
 
-let of_run ?(confidence = 0.95) ?(cone_skip = true) ?(diff = true)
-    ?(forensics = false) ?stop ?(exhaustive = false) ?events_path
-    ?(spools = []) (ctx : Context.t) (run : Runs.design_run) =
+let of_run ?(confidence = 0.95) ?(forensics = false) ?stop ?(exhaustive = false)
+    ?events_path ?(spools = []) (ctx : Context.t) (run : Runs.design_run) =
   let c =
     match run.Runs.campaign with
     | Some c -> c
@@ -112,8 +109,6 @@ let of_run ?(confidence = 0.95) ?(cone_skip = true) ?(diff = true)
       | None -> None);
     m_spools = spools;
     m_workers = c.Campaign.workers;
-    m_cone_skip = cone_skip;
-    m_diff = diff;
     m_forensics = forensics;
     m_stop = stop;
     m_exhaustive = exhaustive;
@@ -181,8 +176,6 @@ let to_json m =
                  ])
              m.m_spools) );
       ("workers", int m.m_workers);
-      ("cone_skip", Json.Bool m.m_cone_skip);
-      ("diff", Json.Bool m.m_diff);
       ("forensics", Json.Bool m.m_forensics);
       ( "stop",
         match m.m_stop with
@@ -236,8 +229,8 @@ let of_json j =
   let* seed = require "seed" (int "seed") in
   let* created = require "created" (num "created") in
   let* workers = require "workers" (int "workers") in
-  let* cone_skip = require "cone_skip" (bool "cone_skip") in
-  let* diff = require "diff" (bool "diff") in
+  (* 0.9.0 and older manifests also carry [cone_skip] and [diff], engine
+     strategy flags that always held true; they are ignored *)
   let* forensics = require "forensics" (bool "forensics") in
   let* requested = require "requested" (int "requested") in
   let* injected = require "injected" (int "injected") in
@@ -296,8 +289,6 @@ let of_json j =
               l
         | _ -> []);
       m_workers = workers;
-      m_cone_skip = cone_skip;
-      m_diff = diff;
       m_forensics = forensics;
       m_stop = stop;
       (* absent in manifests written by older tool versions *)

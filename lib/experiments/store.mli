@@ -43,8 +43,6 @@ type manifest = {
       (** per-worker event spools of a forked ([--procs]) run with
           events on; empty otherwise *)
   m_workers : int;
-  m_cone_skip : bool;
-  m_diff : bool;
   m_forensics : bool;
   m_stop : Tmr_obs.Stats.stop_rule option;  (** CI stop, when used *)
   m_exhaustive : bool;
@@ -85,8 +83,6 @@ and detection = {
 
 val of_run :
   ?confidence:float ->
-  ?cone_skip:bool ->
-  ?diff:bool ->
   ?forensics:bool ->
   ?stop:Tmr_obs.Stats.stop_rule ->
   ?exhaustive:bool ->
@@ -96,10 +92,9 @@ val of_run :
   Runs.design_run ->
   manifest
 (** Build a manifest from an injected design run (raises
-    [Invalid_argument] if the run has no campaign).  The engine-config
-    flags record what the caller passed to {!Runs.campaign_design};
-    they default like the engine does (cone_skip/diff on, forensics
-    off).  [events_path] records where the live event stream went; the
+    [Invalid_argument] if the run has no campaign).  [forensics] and
+    [stop] record what the caller passed to {!Runs.campaign_design}.
+    [events_path] records where the live event stream went; the
     current last sequence number is captured with it. *)
 
 val to_json : manifest -> Tmr_obs.Json.t

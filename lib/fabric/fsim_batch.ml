@@ -1,6 +1,6 @@
 (* Bit-parallel batched differential fault simulation.
 
-   Packs up to [width] faults into the lanes of 32-bit "possibility
+   Packs up to [width] = 64 faults into the lanes of 32-bit "possibility
    plane" words ({!Fsim_backend.Lanes}) and runs ONE event-driven cone
    evaluation over the union of the lanes' fanout cones against the
    shared baseline tape, instead of one scalar [Fsim.diff_run] per
@@ -51,11 +51,12 @@ type verdict = {
   bv_detect_cycle : int;
 }
 
+let width = 64
+let stride = width / 32  (* plane words per node *)
+
 type t = {
   base : F.t;
   view : F.view;
-  width : int;
-  stride : int;  (* plane words per node, width / 32 *)
   csr_off : int array;
   csr_succ : int array;
   bel_of : int array;
@@ -120,7 +121,7 @@ let ensure t n =
   if t.cap < n then begin
     let cap = max n (max 1024 (2 * t.cap)) in
     t.cap <- cap;
-    let ps = cap * t.stride in
+    let ps = cap * stride in
     t.h <- Array.make ps 0;
     t.l <- Array.make ps 0;
     t.lh <- Array.make ps 0;
@@ -159,9 +160,7 @@ let res_ensure t n =
     t.resll <- Array.make c 0
   end
 
-let create base cone ~width =
-  if width <> 32 && width <> 64 then
-    invalid_arg "Fsim_batch.create: width must be 32 or 64";
+let create base cone =
   let v = F.view base in
   let csr_off, csr_succ = F.reader_csr base in
   let bel_of = F.bel_map cone base in
@@ -175,13 +174,10 @@ let create base cone ~width =
   done;
   let base_pos = Array.make (max 1 bn) 0 in
   Array.iteri (fun i u -> base_pos.(u) <- i) v.F.v_scc_nodes;
-  let stride = width / 32 in
   let t =
     {
       base;
       view = v;
-      width;
-      stride;
       csr_off;
       csr_succ;
       bel_of;
@@ -239,7 +235,6 @@ let create base cone ~width =
   ensure t (bn + 64);
   t
 
-let width t = t.width
 let csr t = (t.csr_off, t.csr_succ)
 let bel_of t = t.bel_of
 let last_cone t = Array.sub t.last_cone 0 t.last_nm
@@ -251,7 +246,7 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
   let v = t.view in
   let bn = v.F.v_nnodes in
   let nlanes = Array.length lanes in
-  if nlanes = 0 || nlanes > t.width then
+  if nlanes = 0 || nlanes > width then
     invalid_arg "Fsim_batch.run: lane count out of range";
   if ndetect < 0 || ndetect > Array.length watch then
     invalid_arg "Fsim_batch.run: ndetect out of range";
@@ -262,7 +257,6 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
   if Array.length expected <> cycles then
     invalid_arg "Fsim_batch.run: expected matrix / tape cycle mismatch";
   let ns = (nlanes + 31) / 32 in
-  let stride = t.stride in
   let fullw = Lanes.full in
   let t_start = if debug then Sys.time () else 0. in
   try

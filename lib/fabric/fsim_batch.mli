@@ -17,12 +17,12 @@ type t
     CSR, the bel map and the plane/state arrays, reused across every
     batch the worker executes. *)
 
-val create : Fsim.t -> Fsim.cone -> width:int -> t
-(** [create base cone ~width] with [width] 32 or 64 (lanes per batch).
-    [base] is the worker's golden simulator; [cone] the snapshot its
-    build produced.  Raises [Invalid_argument] on any other width. *)
+val width : int
+(** Lanes per batch: 64, two 32-bit possibility-plane words per node. *)
 
-val width : t -> int
+val create : Fsim.t -> Fsim.cone -> t
+(** [create base cone]: [base] is the worker's golden simulator; [cone]
+    the snapshot its build produced. *)
 
 val csr : t -> int array * int array
 (** The base reader CSR [(off, succ)], for handing to
@@ -53,7 +53,7 @@ val run :
   unit ->
   verdict option array option
 (** [run t ~tape ~expected ~watch ~lanes ()] simulates all faults of
-    [lanes] (at most [width t], each a {!Fsim.patch_delta} or
+    [lanes] (at most {!width}, each a {!Fsim.patch_delta} or
     {!Fsim.fault_delta} overlay) in one batch against the baseline
     [tape]; [watch] are the base simulator's watch nodes and
     [expected.(cycle).(i)] the golden value of [watch.(i)] — the same

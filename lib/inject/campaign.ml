@@ -105,12 +105,10 @@ let utilization t =
       (Array.fold_left ( + ) 0 t.busy_ns + Array.fold_left ( + ) 0 t.setup_ns)
     /. (float_of_int t.workers *. float_of_int t.wall_ns)
 
-(* Per-plan-path fault latency: the four distributions are the engine's
-   cost model (silent ≈ ns, patch ≈ µs, reroute ≈ 10µs, rebuild ≈ ms) and
-   drift in any of them is a perf regression even when the mean hides it. *)
+(* Per-plan-path fault latency: the distributions are the engine's cost
+   model (silent ≈ ns, differential ≈ µs, rebuild ≈ ms) and drift in any
+   of them is a perf regression even when the mean hides it. *)
 let m_fault_silent = Tmr_obs.Metrics.histogram "campaign.fault_ns.silent"
-let m_fault_patch = Tmr_obs.Metrics.histogram "campaign.fault_ns.patch"
-let m_fault_reroute = Tmr_obs.Metrics.histogram "campaign.fault_ns.reroute"
 let m_fault_rebuild = Tmr_obs.Metrics.histogram "campaign.fault_ns.rebuild"
 let m_fault_diff = Tmr_obs.Metrics.histogram "campaign.fault_ns.diff"
 
@@ -155,12 +153,11 @@ let m_setup = Tmr_obs.Metrics.counter "campaign.worker_setup_ns"
 let m_wall = Tmr_obs.Metrics.gauge "campaign.wall_ns"
 let m_util = Tmr_obs.Metrics.gauge "campaign.worker_utilization"
 
+(* patch and reroute plans always execute differentially *)
 let fault_hist = function
   | Fsim.Path_silent -> m_fault_silent
-  | Fsim.Path_patch -> m_fault_patch
-  | Fsim.Path_reroute -> m_fault_reroute
   | Fsim.Path_rebuild -> m_fault_rebuild
-  | Fsim.Path_diff -> m_fault_diff
+  | Fsim.Path_patch | Fsim.Path_reroute | Fsim.Path_diff -> m_fault_diff
 
 let add_stats a b =
   {
@@ -276,7 +273,7 @@ let monitor_note m i wrong =
   Mutex.unlock m.mon_mutex
 
 (* Pool work units: one fault on the scalar engine, or a batch of fault
-   indices for the bit-parallel engine (at most [batch_width] of them). *)
+   indices for the bit-parallel engine (at most {!Fsim_batch.width}). *)
 type unit_work =
   | Single of int
   | Batch of int array
@@ -299,11 +296,8 @@ let group_key dev db bit =
   | Bitdb.Pip p -> (4 * dev.Device.pip_dst.(p)) + 1
   | Bitdb.Pad_enable p | Bitdb.Pad_cfg (p, _) -> (4 * p) + 2
 
-let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
-    ?(forensics = false) ?stop_at_ci ?(batch_width = 64) ~name ~impl ~golden
-    ~stimulus ~faults () =
-  if batch_width <> 0 && batch_width <> 32 && batch_width <> 64 then
-    invalid_arg "Campaign.run: batch_width must be 0, 32 or 64";
+let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
+    ?stop_at_ci ~name ~impl ~golden ~stimulus ~faults () =
   let workers =
     match workers with Some w -> max 1 w | None -> default_workers ()
   in
@@ -311,12 +305,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
   let forensics = forensics || Forensics.enabled () in
   (* The batch engine has no forensic instrumentation, and sequential
      stopping needs per-fault completion order; both force the scalar
-     engine, as does running without the differential tape or without
-     fault planning. *)
-  let batch_width =
-    if forensics || stop_at_ci <> None || (not diff) || not cone_skip then 0
-    else batch_width
-  in
+     differential engine.  The rebuild oracle plans nothing to batch. *)
+  let batched = cone_skip && (not forensics) && stop_at_ci = None in
   let fattr =
     if forensics then
       Some
@@ -517,12 +507,12 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
   (* Batch schedule: one planning pass over the (un-flipped) golden
      extract classifies every fault; patch- and reroute-planned faults
      group by {!group_key} and pack, in first-index order, into batches
-     of at most [batch_width] lanes.  Silent and rebuild faults — and
-     everything when batching is off — stay scalar singles.  The
+     of at most {!Fsim_batch.width} lanes.  Silent and rebuild faults —
+     and everything when batching is off — stay scalar singles.  The
      schedule only affects which engine runs each fault, never its
      verdict, so results are independent of it. *)
   let units =
-    if batch_width = 0 then Array.init total (fun i -> Single i)
+    if not batched then Array.init total (fun i -> Single i)
     else
       Tmr_obs.Trace.with_span "batch_plan" (fun () ->
           let pex = new_extract () in
@@ -544,7 +534,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
             | _ -> singles := i :: !singles
           done;
           let units = ref [] in
-          let buf = Array.make batch_width 0 in
+          let buf = Array.make Fsim_batch.width 0 in
           let nbuf = ref 0 in
           let flush () =
             if !nbuf = 1 then units := Single buf.(0) :: !units
@@ -561,7 +551,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
                 (fun i ->
                   buf.(!nbuf) <- i;
                   incr nbuf;
-                  if !nbuf = batch_width then flush ())
+                  if !nbuf = Fsim_batch.width then flush ())
                 (List.rev !(Hashtbl.find groups k)))
             (List.sort compare !order);
           flush ();
@@ -569,7 +559,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
           Array.of_list (List.rev !units))
   in
   (* fault-level completion count for the progress line — the pool only
-     counts units, whose sizes vary from 1 to [batch_width] faults *)
+     counts units, whose sizes vary from 1 to {!Fsim_batch.width} faults *)
   let faults_done = Atomic.make 0 in
   let monitor =
     Option.map
@@ -603,13 +593,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
     let cone = Fsim.snapshot_cone ws in
     let base_io = resolve_io base in
     if wid = 0 then check_baseline base base_io;
-    (* a derived simulator that kept the base IO tables resolves to the
-       same node arrays — reuse them without re-hashing *)
-    let io_for sim =
-      if sim == base || Fsim.same_io base sim then base_io
-      else resolve_io sim
-    in
-    let tape = if diff then Some (record_tape base base_io) else None in
+    (* the fault-free tape every differential fault replays against *)
+    let tape = record_tape base base_io in
     (* separate diff scratches per plan path: patch faults run on [base]
        whose successor CSR is then cached across the whole campaign,
        instead of being evicted by every interleaved reroute *)
@@ -710,25 +695,16 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
           Fun.protect
             ~finally:(fun () -> Extract.apply_bit_flip ex bit)
             (fun () ->
-              match tape with
-              | Some tape ->
-                  bump (fun s -> { s with diffed = s.diffed + 1 });
-                  let seed = Fsim.patch_node cone ex bit in
-                  let err, cv, det =
-                    Fsim.with_patch cone base ex bit (fun sim ->
-                        Fsim.diff_run ~ndetect ~forensics ~scratch:dsc_patch
-                          ~tape ~base ~sim ~seeds:(Fsim.Seed_node seed)
-                          ~watch:base_watch ~base_watch
-                          ~expected:expected_flat ())
-                  in
-                  note_converge cv;
-                  (finish ~dsc:dsc_patch ~detect:det bit err, Fsim.Path_diff)
-              | None ->
-                  let err, det =
-                    Fsim.with_patch cone base ex bit (fun sim ->
-                        run_dut sim base_io)
-                  in
-                  (finish ~detect:det bit err, Fsim.Path_patch))
+              bump (fun s -> { s with diffed = s.diffed + 1 });
+              let seed = Fsim.patch_node cone ex bit in
+              let err, cv, det =
+                Fsim.with_patch cone base ex bit (fun sim ->
+                    Fsim.diff_run ~ndetect ~forensics ~scratch:dsc_patch ~tape
+                      ~base ~sim ~seeds:(Fsim.Seed_node seed) ~watch:base_watch
+                      ~base_watch ~expected:expected_flat ())
+              in
+              note_converge cv;
+              (finish ~dsc:dsc_patch ~detect:det bit err, Fsim.Path_diff))
       | Fsim.Path_reroute | Fsim.Path_rebuild ->
           Extract.apply_bit_flip ex bit;
           Fun.protect
@@ -740,25 +716,20 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
                 | _ -> None
               in
               match sim with
-              | Some sim -> (
-                  bump (fun s -> { s with rerouted = s.rerouted + 1 });
-                  match tape with
-                  | Some tape ->
-                      bump (fun s -> { s with diffed = s.diffed + 1 });
-                      let watch =
-                        if Fsim.same_io base sim then base_watch
-                        else Fsim.watch_nodes sim watch_outputs
-                      in
-                      let err, cv, det =
-                        Fsim.diff_run ~ndetect ~forensics ~scratch:dsc_reroute
-                          ~tape ~base ~sim ~seeds:Fsim.Seed_derived ~watch
-                          ~base_watch ~expected:expected_flat ()
-                      in
-                      note_converge cv;
-                      (finish ~dsc:dsc_reroute ~detect:det bit err, Fsim.Path_diff)
-                  | None ->
-                      let err, det = run_dut sim (io_for sim) in
-                      (finish ~detect:det bit err, Fsim.Path_reroute))
+              | Some sim ->
+                  bump (fun s ->
+                      { s with rerouted = s.rerouted + 1; diffed = s.diffed + 1 });
+                  let watch =
+                    if Fsim.same_io base sim then base_watch
+                    else Fsim.watch_nodes sim watch_outputs
+                  in
+                  let err, cv, det =
+                    Fsim.diff_run ~ndetect ~forensics ~scratch:dsc_reroute ~tape
+                      ~base ~sim ~seeds:Fsim.Seed_derived ~watch ~base_watch
+                      ~expected:expected_flat ()
+                  in
+                  note_converge cv;
+                  (finish ~dsc:dsc_reroute ~detect:det bit err, Fsim.Path_diff)
               | None ->
                   bump (fun s -> { s with rebuilt = s.rebuilt + 1 });
                   let sim = Fsim.build ~ws ex ~watch_outputs in
@@ -783,11 +754,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
       ignore (Atomic.fetch_and_add faults_done 1);
       Option.iter (fun m -> monitor_note m i is_wrong) monitor
     in
-    let batcher =
-      if batch_width > 0 then
-        Some (Fsim_batch.create base cone ~width:batch_width)
-      else None
-    in
+    let batcher = if batched then Some (Fsim_batch.create base cone) else None in
     (* One batch: derive each lane's structural overlay against the base
        simulator (the extract is flipped only while the delta is taken),
        run every derivable lane word-parallel, and fan the per-lane
@@ -795,8 +762,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
        no derivable overlay — and the whole batch when the union cone is
        ineligible — fall back to the scalar engine fault by fault. *)
     let do_batch idxs =
-      match (batcher, tape) with
-      | Some bt, Some tape ->
+      match batcher with
+      | Some bt ->
           let t0 = Tmr_obs.Clock.now_ns () in
           let succ_off, succ = Fsim_batch.csr bt in
           let bel_of = Fsim_batch.bel_of bt in
@@ -919,7 +886,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
               busy_ns.(wid) <- busy_ns.(wid) + (Tmr_obs.Clock.now_ns () - t0);
               Tmr_obs.Metrics.incr ~by:n m_batch_scalar;
               Array.iter do_fault idxs)
-      | _ -> Array.iter do_fault idxs
+      | None -> Array.iter do_fault idxs
     in
     setup_ns.(wid) <- Tmr_obs.Clock.now_ns () - t_setup;
     fun u ->
@@ -1082,14 +1049,14 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
 let active = Atomic.make 0
 let active_campaigns () = Atomic.get active
 
-let run ?progress ?workers ?cone_skip ?diff ?forensics ?stop_at_ci
-    ?batch_width ~name ~impl ~golden ~stimulus ~faults () =
+let run ?progress ?workers ?cone_skip ?forensics ?stop_at_ci ~name ~impl
+    ~golden ~stimulus ~faults () =
   Atomic.incr active;
   Fun.protect
     ~finally:(fun () -> Atomic.decr active)
     (fun () ->
-      run_body ?progress ?workers ?cone_skip ?diff ?forensics ?stop_at_ci
-        ?batch_width ~name ~impl ~golden ~stimulus ~faults ())
+      run_body ?progress ?workers ?cone_skip ?forensics ?stop_at_ci ~name ~impl
+        ~golden ~stimulus ~faults ())
 
 let wrong_percent t =
   if t.injected = 0 then 0.0

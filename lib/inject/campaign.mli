@@ -17,8 +17,8 @@
     simulator per fault; the fast paths are exact, so they change only the
     throughput, never the results.
 
-    On top of the fast paths, the differential engine (default) records
-    one fault-free baseline tape per worker and then simulates each patch
+    On top of the fast paths, the differential engine records one
+    fault-free baseline tape per worker and then simulates each patch
     or reroute fault only inside the fanout cone of its faulted nodes
     ({!Tmr_fabric.Fsim.diff_run}): non-cone inputs are replayed from the
     tape, unchanged cone nodes are skipped event-driven, and a fault is
@@ -27,11 +27,12 @@
     faster.
 
     On top of the differential engine, the bit-parallel batch engine
-    ({!Tmr_fabric.Fsim_batch}, default on) packs up to 64 patch/reroute
+    ({!Tmr_fabric.Fsim_batch}) packs up to 64 patch/reroute
     faults with structurally close fanout cones into the bit lanes of
     one word-parallel cone walk, amortising the event-driven evaluation
     across the whole batch.  Still exact: per-fault verdicts are
-    bit-identical to the scalar engines. *)
+    bit-identical to the scalar engine, and both are tested against one
+    oracle, the full per-fault rebuild ([run ~cone_skip:false]). *)
 
 type stimulus = {
   cycles : int;
@@ -159,10 +160,8 @@ val run :
   ?progress:(progress -> unit) ->
   ?workers:int ->
   ?cone_skip:bool ->
-  ?diff:bool ->
   ?forensics:bool ->
   ?stop_at_ci:Tmr_obs.Stats.stop_rule ->
-  ?batch_width:int ->
   name:string ->
   impl:Tmr_pnr.Impl.t ->
   golden:Tmr_netlist.Netlist.t ->
@@ -170,12 +169,22 @@ val run :
   faults:int array ->
   unit ->
   t
-(** [workers] defaults to {!default_workers}; [cone_skip] (default [true])
-    enables the cone-aware fast paths — disabling it forces a full rebuild
-    per fault (the legacy engine, useful as a differential oracle).
-    [diff] (default [true]) runs patch/reroute faults on the differential
-    engine (baseline tape + cone-restricted event-driven evaluation +
-    convergence early-exit); disabling it replays the full DUT per fault.
+(** [workers] defaults to {!default_workers}.
+
+    The engine picks how each fault runs from its inputs; there is no
+    strategy knob.  Faults whose plan is a patch or a reroute run
+    differentially (baseline tape + cone-restricted event-driven
+    evaluation + convergence early-exit): packed by structural cone key
+    (same LUT/FF bel, same pip destination wire) into the
+    {!Tmr_fabric.Fsim_batch.width} lanes of the bit-parallel batch engine by
+    default, or one by one on the scalar differential engine when
+    batching cannot run ([forensics], [stop_at_ci], and lanes or batches
+    the batch engine declines).  Both produce bit-identical verdicts.
+
+    [cone_skip] (default [true]) enables that planning; [false] rebuilds
+    and replays the full DUT for every fault.  That full rebuild is the
+    single oracle the fast engines are tested against — a test and
+    benchmark hook, not a user option.
 
     [forensics] (default [false]) attaches a {!Forensics.t} record to
     every result: structural domain/partition attribution on all plan
@@ -194,18 +203,6 @@ val run :
     are bit-identical to the same full campaign truncated at
     [injected].  Workers finish in-flight chunks before draining; that
     overshoot appears in [stats] and [busy_ns] but not in [results].
-
-    [batch_width] (default 64) packs patch/reroute faults that share a
-    structural cone key (same LUT/FF bel, same pip destination wire)
-    into lanes of the bit-parallel batch engine, up to [batch_width]
-    faults per machine word per cone walk; 0 (or [tmrtool]'s
-    [--no-batch]) disables batching and runs every differential fault
-    on the scalar engine.  Only 0, 32 and 64 are accepted
-    ([Invalid_argument] otherwise).  Batching is exact — per-fault
-    verdicts are bit-identical to the scalar engine — and is forced off
-    when it cannot be ([forensics], [stop_at_ci], [diff = false] or
-    [cone_skip = false]).  Lanes the batch engine declines fall back to
-    the scalar engine automatically.
 
     [progress] is called with a {!progress} snapshot from worker
     domains, serialized and rate-limited by the pool.

@@ -54,15 +54,6 @@ type event =
       wrong : int;
       pending : int;
     }
-  | Job_queued of { job : string; design : string }
-  | Job_started of { job : string; design : string }
-  | Job_done of {
-      job : string;
-      design : string;
-      injected : int;
-      wrong : int;
-      wall_ns : int;
-    }
 
 let type_name = function
   | Campaign_started _ -> "campaign_started"
@@ -75,9 +66,6 @@ let type_name = function
   | Plan_paths _ -> "plan_paths"
   | Manifest_written _ -> "manifest_written"
   | Shard_done _ -> "shard_done"
-  | Job_queued _ -> "job_queued"
-  | Job_started _ -> "job_started"
-  | Job_done _ -> "job_done"
 
 (* Everything after the "ts_ns" field: ,"type":...,<fields>} — built by
    the producer outside the ring lock; seq and ts are prepended by the
@@ -145,19 +133,7 @@ let payload_of ev =
       int "lo" lo;
       int "hi" hi;
       int "wrong" wrong;
-      int "pending" pending
-  | Job_queued { job; design } ->
-      str "job" job;
-      str "design" design
-  | Job_started { job; design } ->
-      str "job" job;
-      str "design" design
-  | Job_done { job; design; injected; wrong; wall_ns } ->
-      str "job" job;
-      str "design" design;
-      int "injected" injected;
-      int "wrong" wrong;
-      int "wall_ns" wall_ns);
+      int "pending" pending);
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -686,21 +662,6 @@ let parse_line line =
         let* wrong = int_f "wrong" in
         let* pending = int_f "pending" in
         Ok (Shard_done { design; shard; lo; hi; wrong; pending })
-    | "job_queued" ->
-        let* job = str_f "job" in
-        let* design = str_f "design" in
-        Ok (Job_queued { job; design })
-    | "job_started" ->
-        let* job = str_f "job" in
-        let* design = str_f "design" in
-        Ok (Job_started { job; design })
-    | "job_done" ->
-        let* job = str_f "job" in
-        let* design = str_f "design" in
-        let* injected = int_f "injected" in
-        let* wrong = int_f "wrong" in
-        let* wall_ns = int_f "wall_ns" in
-        Ok (Job_done { job; design; injected; wrong; wall_ns })
     | other -> Error (Printf.sprintf "events: unknown event type %S" other)
   in
   let origin =

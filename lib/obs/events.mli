@@ -82,16 +82,6 @@ type event =
       wrong : int;  (** wrong answers within the range *)
       pending : int;  (** ranges still queued or claimed *)
     }  (** one checkpointed shard of a distributed campaign completed *)
-  | Job_queued of { job : string; design : string }
-      (** a campaign job entered the [tmrtool serve] queue *)
-  | Job_started of { job : string; design : string }
-  | Job_done of {
-      job : string;
-      design : string;
-      injected : int;
-      wrong : int;
-      wall_ns : int;
-    }
 
 val enabled : unit -> bool
 (** Is any sink installed (bus or spool)?  Producers may use this to

@@ -35,8 +35,6 @@ let help_for name =
   | "campaign.diff_converge_cycle" ->
       "Cycle at which a differentially simulated fault rejoined the baseline"
   | "campaign.fault_ns.silent" -> "Per-fault latency, silent plan path"
-  | "campaign.fault_ns.patch" -> "Per-fault latency, patch plan path"
-  | "campaign.fault_ns.reroute" -> "Per-fault latency, reroute plan path"
   | "campaign.fault_ns.rebuild" -> "Per-fault latency, rebuild plan path"
   | "campaign.fault_ns.diff" -> "Per-fault latency, differential engine"
   | "campaign.fault_ns.batch" -> "Amortised per-fault latency, batch engine"
@@ -51,13 +49,10 @@ let help_for name =
   | "fsim.reroute_fallback" -> "Reroutes that fell back to a full rebuild"
   | "pool.chunks" -> "Work chunks claimed by campaign workers"
   | "pool.claim_wait_ns" -> "Time workers waited to claim a chunk"
-  | "service.queue_depth" -> "Jobs waiting in the service queue"
+  | "service.queue_depth" -> "Shard ranges still queued or claimed"
   | "service.shards_done" -> "Completed shards of the running job"
   | "service.orphan_reclaims" -> "Crashed workers' shard claims reclaimed"
   | "service.claim_ns" -> "Shard claim latency"
-  | "service.jobs_active" -> "Jobs currently executing"
-  | "service.jobs_completed" -> "Jobs completed since the service started"
-  | "service.clients" -> "Connected event-stream clients"
   | _ -> "tmrtool metric " ^ name
 
 (* Extra snapshot sources folded into every scrape: the campaign parent

@@ -1,8 +1,8 @@
-(* Bit-parallel batched fault simulation: batched campaigns are
-   bit-identical to the scalar differential engine and to the
-   full-rebuild oracle on all five paper designs, across worker counts
-   and batch widths; and the engine-level lane grouping keeps every
-   lane's fault inside a reader-closed union cone. *)
+(* Bit-parallel batched fault simulation: batched campaigns and scalar
+   differential (forensics) campaigns are bit-identical to the
+   full-rebuild oracle on all five paper designs, across worker counts;
+   and the engine-level lane grouping keeps every lane's fault inside a
+   reader-closed union cone. *)
 
 module Logic = Tmr_logic.Logic
 module Srand = Tmr_logic.Srand
@@ -31,15 +31,19 @@ let result_testable =
         r.Campaign.first_error_cycle)
     ( = )
 
+(* verdicts only: the oracle collects no forensic records *)
+let verdicts (c : Campaign.t) =
+  Array.map (fun r -> { r with Campaign.forensics = None }) c.Campaign.results
+
 let check_same_results msg (a : Campaign.t) (b : Campaign.t) =
   Alcotest.(check int) (msg ^ ": injected") a.Campaign.injected
     b.Campaign.injected;
   Alcotest.(check (array result_testable))
     (msg ^ ": results array")
-    a.Campaign.results b.Campaign.results
+    (verdicts a) (verdicts b)
 
-(* --- campaign-level: batched == scalar diff == full rebuild, all five
-   paper designs, every (workers, width) combination --- *)
+(* --- campaign-level: batched == full rebuild and scalar diff == full
+   rebuild, all five paper designs, one and two workers --- *)
 
 let test_batch_vs_scalar_campaigns () =
   let ctx =
@@ -50,29 +54,24 @@ let test_batch_vs_scalar_campaigns () =
     (fun strategy ->
       let name = Partition.name strategy in
       let run = Runs.implement_design ctx strategy in
-      let campaign ?(diff = true) ~workers ~batch_width () =
+      let campaign ?cone_skip ?forensics ~workers () =
         Option.get
-          (Runs.campaign_design ~workers ~diff ~batch_width ctx run)
+          (Runs.campaign_design ~workers ?cone_skip ?forensics ctx run)
             .Runs.campaign
       in
-      let scalar = campaign ~workers:2 ~batch_width:0 () in
-      let rebuild = campaign ~diff:false ~workers:2 ~batch_width:0 () in
+      let oracle = campaign ~cone_skip:false ~workers:2 () in
+      let scalar = campaign ~forensics:true ~workers:2 () in
       Alcotest.(check int)
-        (name ^ ": scalar reference ran no batches")
+        (name ^ ": forensics run ran no batches")
         0 scalar.Campaign.stats.Campaign.batched;
-      check_same_results (name ^ ": scalar diff vs full rebuild") scalar
-        rebuild;
+      check_same_results (name ^ ": scalar diff vs oracle") scalar oracle;
       List.iter
         (fun workers ->
-          List.iter
-            (fun width ->
-              let b = campaign ~workers ~batch_width:width () in
-              total_batched := !total_batched + b.Campaign.stats.Campaign.batched;
-              check_same_results
-                (Printf.sprintf "%s: batched w%d width %d vs scalar" name
-                   workers width)
-                b scalar)
-            [ 32; 64 ])
+          let b = campaign ~workers () in
+          total_batched := !total_batched + b.Campaign.stats.Campaign.batched;
+          check_same_results
+            (Printf.sprintf "%s: batched w%d vs oracle" name workers)
+            b oracle)
         [ 1; 2 ])
     Partition.all_paper_designs;
   Alcotest.(check bool) "batch engine exercised" true (!total_batched > 0)
@@ -158,8 +157,8 @@ let test_engine_verdicts_and_grouping () =
   done;
   let faults = Array.of_list (List.rev !faults) in
   Alcotest.(check bool) "found patchable bits" true (Array.length faults > 0);
-  let width = 32 in
-  let bt = Fsim_batch.create base cone ~width in
+  let width = Fsim_batch.width in
+  let bt = Fsim_batch.create base cone in
   let off, succ = Fsim_batch.csr bt in
   let nbase = Fsim.num_nodes base in
   let nchunks = (Array.length faults + width - 1) / width in

@@ -177,8 +177,8 @@ let test_patch_diff_matches_oracle () =
   done;
   Alcotest.(check bool) "exercised some patch faults" true (!tested > 0)
 
-(* --- campaign-level: diff on == diff off, all five paper designs over
-   a shared fault sample --- *)
+(* --- campaign-level: the fast engines == the full-rebuild oracle, all
+   five paper designs over a shared fault sample --- *)
 
 let result_testable =
   Alcotest.testable
@@ -190,14 +190,18 @@ let result_testable =
         r.Campaign.first_error_cycle)
     ( = )
 
+(* verdicts only: the oracle collects no forensic records *)
+let verdicts (c : Campaign.t) =
+  Array.map (fun r -> { r with Campaign.forensics = None }) c.Campaign.results
+
 let check_same_results msg (a : Campaign.t) (b : Campaign.t) =
   Alcotest.(check int) (msg ^ ": injected") a.Campaign.injected
     b.Campaign.injected;
   Alcotest.(check (array result_testable))
     (msg ^ ": results array")
-    a.Campaign.results b.Campaign.results
+    (verdicts a) (verdicts b)
 
-let test_diff_vs_rebuild_campaigns () =
+let test_fast_vs_rebuild_campaigns () =
   let ctx =
     Context.create ~scale:Context.Reduced ~seed:2 ~faults_per_design:120 ()
   in
@@ -206,29 +210,33 @@ let test_diff_vs_rebuild_campaigns () =
     (fun strategy ->
       let name = Partition.name strategy in
       let run = Runs.implement_design ctx strategy in
-      let d =
+      let campaign ?cone_skip ?forensics () =
         Option.get
-          (Runs.campaign_design ~workers:2 ~diff:true ctx run).Runs.campaign
+          (Runs.campaign_design ~workers:2 ?cone_skip ?forensics ctx run)
+            .Runs.campaign
       in
-      let o =
-        Option.get
-          (Runs.campaign_design ~workers:2 ~diff:false ctx run).Runs.campaign
-      in
-      let s = d.Campaign.stats in
-      total_diffed := !total_diffed + s.Campaign.diffed;
-      total_converged := !total_converged + s.Campaign.converged;
+      let o = campaign ~cone_skip:false () in
+      let batched = campaign () in
+      let scalar = campaign ~forensics:true () in
+      List.iter
+        (fun (engine, (d : Campaign.t)) ->
+          let s = d.Campaign.stats in
+          total_diffed := !total_diffed + s.Campaign.diffed;
+          total_converged := !total_converged + s.Campaign.converged;
+          Alcotest.(check int)
+            (name ^ " " ^ engine
+           ^ ": differential engine covers every patch/reroute fault")
+            (s.Campaign.patched + s.Campaign.rerouted)
+            s.Campaign.diffed;
+          Alcotest.(check bool)
+            (name ^ " " ^ engine ^ ": converged <= diffed")
+            true
+            (s.Campaign.converged <= s.Campaign.diffed);
+          check_same_results (name ^ " " ^ engine ^ " vs oracle") d o)
+        [ ("batched", batched); ("scalar", scalar) ];
       Alcotest.(check int)
-        (name ^ ": differential engine covers every patch/reroute fault")
-        (s.Campaign.patched + s.Campaign.rerouted)
-        s.Campaign.diffed;
-      Alcotest.(check bool)
-        (name ^ ": converged <= diffed")
-        true
-        (s.Campaign.converged <= s.Campaign.diffed);
-      Alcotest.(check int)
-        (name ^ ": no-diff ran nothing differentially")
-        0 o.Campaign.stats.Campaign.diffed;
-      check_same_results name d o)
+        (name ^ ": oracle ran nothing differentially")
+        0 o.Campaign.stats.Campaign.diffed)
     Partition.all_paper_designs;
   Alcotest.(check bool) "diff engine exercised" true (!total_diffed > 0);
   Alcotest.(check bool) "some faults converged early" true
@@ -243,7 +251,7 @@ let () =
         [
           Alcotest.test_case "patch faults: diff == oracle, cone closed"
             `Slow test_patch_diff_matches_oracle;
-          Alcotest.test_case "campaigns: diff == full replay (5 designs)"
-            `Slow test_diff_vs_rebuild_campaigns;
+          Alcotest.test_case "campaigns: fast == full rebuild (5 designs)"
+            `Slow test_fast_vs_rebuild_campaigns;
         ] );
     ]

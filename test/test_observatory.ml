@@ -291,6 +291,45 @@ let test_store_roundtrip () =
   Alcotest.(check (list pass)) "missing dir is empty history" []
     (Store.load_dir ~dir:"/nonexistent/tmr-store" ())
 
+(* A manifest as tool version 0.9.0 wrote it: it still carries the
+   engine-strategy flags [cone_skip] and [diff]. *)
+let manifest_0_9_0 =
+  {|{"design":"tmr_p2","scale":"reduced","seed":1,"created":1760000000.5,
+"created_iso":"2025-10-09T08:53:20Z","tool_version":"0.9.0",
+"git_commit":"abc1234","events_path":null,"events_seq":null,"spools":[],
+"workers":2,"cone_skip":true,"diff":true,"forensics":false,"stop":null,
+"exhaustive":true,"requested":31728,"injected":31728,"wrong":1052,
+"confidence":0.95,"rate":0.033157,"ci_lo":0.0312,"ci_hi":0.0352,
+"faults_per_sec":13376.05,"wall_ns":2372000000,"utilization":0.928,
+"voter":"majority","detection":null,"coverage":null,
+"metrics_digest":"0123456789abcdef0123456789abcdef"}|}
+
+let test_store_back_compat () =
+  (match Store.of_json (Json.parse_exn manifest_0_9_0) with
+  | Error e -> Alcotest.failf "0.9.0 manifest rejected: %s" e
+  | Ok m ->
+      Alcotest.(check string) "0.9.0 version kept" "0.9.0"
+        m.Store.m_tool_version;
+      Alcotest.(check int) "0.9.0 wrong" 1052 m.Store.m_wrong;
+      Alcotest.(check bool) "0.9.0 exhaustive" true m.Store.m_exhaustive);
+  let c = Lazy.force ctx in
+  let m = Store.of_run c (Lazy.force p2_run) in
+  Alcotest.(check string) "new manifests carry the current version"
+    Store.tool_version m.Store.m_tool_version;
+  Alcotest.(check bool) "version bumped past 0.9.0" true
+    (Store.tool_version <> "0.9.0");
+  let j = Store.to_json m in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "new manifest omits %S" k)
+        true
+        (Json.member k j = None))
+    [ "cone_skip"; "diff" ];
+  match Store.of_json (Json.parse_exn (Json.to_string j)) with
+  | Ok m' -> Alcotest.(check bool) "new manifest loads" true (m = m')
+  | Error e -> Alcotest.failf "new manifest rejected: %s" e
+
 let test_report_verdicts () =
   let c = Lazy.force ctx in
   let p2 = Store.of_run c (Lazy.force p2_run) in
@@ -359,6 +398,8 @@ let () =
         [
           Alcotest.test_case "manifest roundtrip and history" `Slow
             test_store_roundtrip;
+          Alcotest.test_case "0.9.0 manifests still load" `Slow
+            test_store_back_compat;
           Alcotest.test_case "report verdicts" `Slow test_report_verdicts;
         ] );
     ]

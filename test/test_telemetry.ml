@@ -692,7 +692,7 @@ let test_campaign_events_exact () =
   let run = Runs.implement_design ctx Partition.Medium_partition in
   let quiet =
     Option.get
-      (Runs.campaign_design ~workers:2 ~batch_width:32 ctx run).Runs.campaign
+      (Runs.campaign_design ~workers:2 ctx run).Runs.campaign
   in
   let path = Filename.temp_file "tmr_campaign_events" ".jsonl" in
   Events.to_file path;
@@ -700,9 +700,7 @@ let test_campaign_events_exact () =
     Fun.protect
       ~finally:(fun () -> Events.close ())
       (fun () ->
-        Option.get
-          (Runs.campaign_design ~workers:2 ~batch_width:32 ctx run)
-            .Runs.campaign)
+        Option.get (Runs.campaign_design ~workers:2 ctx run).Runs.campaign)
   in
   Alcotest.(check bool) "verdicts bit-identical with events on" true
     (quiet.Campaign.results = live.Campaign.results);
@@ -726,6 +724,41 @@ let test_campaign_events_exact () =
     true
     (contains ~needle:expected summary);
   Sys.remove path
+
+(* Metric hygiene: every exported family belongs to a path that can run.
+   No job-server instruments (the server is gone) and no per-fault
+   latency for the patch/reroute plans (they always run differentially
+   and land in [campaign.fault_ns.diff]). *)
+let test_metric_hygiene () =
+  let ctx = Lazy.force ctx in
+  let run = Runs.implement_design ctx Partition.Medium_partition in
+  ignore (Option.get (Runs.campaign_design ~workers:2 ctx run).Runs.campaign);
+  (* referencing the fleet driver links it, registering its instruments *)
+  ignore (Service.job_name (Service.job Partition.Medium_partition));
+  let json = Metrics.to_json_string (Metrics.snapshot ()) in
+  let text = Expose.render () in
+  Alcotest.(check bool) "campaign families exported" true
+    (contains ~needle:"campaign.fault_ns.diff" json
+    && contains ~needle:"campaign_fault_ns_diff" text
+    && contains ~needle:"service_claim_ns" text);
+  List.iter
+    (fun (hay, where, needles) ->
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s has no %s family" where needle)
+            false (contains ~needle hay))
+        needles)
+    [
+      ( json,
+        "snapshot",
+        [ "service.jobs_"; "service.clients"; "campaign.fault_ns.patch";
+          "campaign.fault_ns.reroute" ] );
+      ( text,
+        "exposition",
+        [ "service_jobs_"; "service_clients"; "campaign_fault_ns_patch";
+          "campaign_fault_ns_reroute" ] );
+    ]
 
 let () =
   Alcotest.run "telemetry"
@@ -758,6 +791,8 @@ let () =
         [
           Alcotest.test_case "events-on identical + watch exact" `Slow
             test_campaign_events_exact;
+          Alcotest.test_case "no families of removed paths" `Slow
+            test_metric_hygiene;
         ] );
       ( "distributed",
         [

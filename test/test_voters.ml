@@ -1,8 +1,8 @@
 (* Pluggable voter library: the four-way detected-vs-silent verdict
-   taxonomy is deterministic and engine-invariant — batched == scalar
-   differential == full rebuild, including detection flags and
-   latencies — on all five paper designs built with the detecting
-   voter; and the plain-majority voter reproduces the historical
+   taxonomy is deterministic and engine-invariant — batched and scalar
+   differential (forensics) campaigns both equal the full-rebuild
+   oracle, including detection flags and latencies — on all five paper
+   designs built with the detecting voter; and the plain-majority voter reproduces the historical
    (pre-library) campaigns bit-for-bit. *)
 
 module Voter = Tmr_core.Voter
@@ -21,12 +21,16 @@ let result_testable =
         r.Campaign.first_error_cycle r.Campaign.detect_cycle)
     ( = )
 
+(* verdicts only: the oracle collects no forensic records *)
+let verdicts (c : Campaign.t) =
+  Array.map (fun r -> { r with Campaign.forensics = None }) c.Campaign.results
+
 let check_same_results msg (a : Campaign.t) (b : Campaign.t) =
   Alcotest.(check int) (msg ^ ": injected") a.Campaign.injected
     b.Campaign.injected;
   Alcotest.(check (array result_testable))
     (msg ^ ": results array")
-    a.Campaign.results b.Campaign.results
+    (verdicts a) (verdicts b)
 
 (* --- library surface: names, detection flags, cost model --- *)
 
@@ -108,16 +112,16 @@ let test_detecting_engine_invariance () =
     (fun strategy ->
       let name = Partition.name strategy ^ "/detecting" in
       let run = Runs.implement_design ~voter:Voter.Detecting ctx strategy in
-      let campaign ?(diff = true) ~batch_width () =
+      let campaign ?cone_skip ?forensics () =
         Option.get
-          (Runs.campaign_design ~workers:2 ~diff ~batch_width ctx run)
+          (Runs.campaign_design ~workers:2 ?cone_skip ?forensics ctx run)
             .Runs.campaign
       in
-      let scalar = campaign ~batch_width:0 () in
-      let rebuild = campaign ~diff:false ~batch_width:0 () in
-      let batched = campaign ~batch_width:64 () in
-      check_same_results (name ^ ": scalar vs rebuild") scalar rebuild;
-      check_same_results (name ^ ": batched vs scalar") batched scalar;
+      let oracle = campaign ~cone_skip:false () in
+      let scalar = campaign ~forensics:true () in
+      let batched = campaign () in
+      check_same_results (name ^ ": scalar vs oracle") scalar oracle;
+      check_same_results (name ^ ": batched vs oracle") batched oracle;
       check_taxonomy name scalar;
       let dc = Campaign.detection_counts scalar in
       if strategy = Partition.Unprotected then begin
@@ -165,8 +169,7 @@ let test_majority_reproduces_default () =
       let name = Partition.name strategy in
       let campaign run =
         Option.get
-          (Runs.campaign_design ~workers:2 ~batch_width:0 ctx run)
-            .Runs.campaign
+          (Runs.campaign_design ~workers:2 ctx run).Runs.campaign
       in
       let default_c = campaign (Runs.implement_design ctx strategy) in
       let majority_c =
