@@ -290,9 +290,19 @@ let engine_summary (c : Campaign.t) =
 
 (* --- campaign statistics options --- *)
 
+let confidence_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some c when c > 0.0 && c < 1.0 -> Ok c
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "confidence level must lie in (0, 1), got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let confidence_t =
   Arg.(
-    value & opt float 0.95
+    value & opt confidence_conv 0.95
     & info [ "confidence" ] ~docv:"LEVEL"
         ~doc:
           "Confidence level for every interval and compatibility test \
@@ -581,16 +591,7 @@ let merged_out_t =
 let effect_table (c : Campaign.t) =
   List.iter
     (fun eff ->
-      let n =
-        Array.fold_left
-          (fun acc fr ->
-            if
-              fr.Campaign.outcome = Campaign.Wrong_answer
-              && fr.Campaign.effect = eff
-            then acc + 1
-            else acc)
-          0 c.Campaign.results
-      in
+      let n = Campaign.wrong_by_effect c eff in
       if n > 0 then Printf.printf "  %-14s %d\n" (Classify.name eff) n)
     Classify.all
 
@@ -655,7 +656,7 @@ let inject_cmd =
         Printf.eprintf "tmrtool: %s\n" e;
         exit 1
     | Ok (Service.Incomplete { done_shards; pending_shards } as st) ->
-        if json then print_endline (Service.summary_json job st)
+        if json then print_endline (Service.summary_json ~confidence job st)
         else
           Printf.printf
             "%s: incomplete — %d shards done, %d pending; rerun with \
@@ -694,7 +695,7 @@ let inject_cmd =
             in
             Printf.eprintf "stored %s\n" (Store.save ~dir m))
           store;
-        if json then print_endline (Service.summary_json job st)
+        if json then print_endline (Service.summary_json ~confidence job st)
         else begin
           Printf.printf "%s: injected %d, wrong answers %d (%s)\n"
             (Partition.paper_name design) c.Campaign.injected c.Campaign.wrong
@@ -763,7 +764,7 @@ let inject_cmd =
               in
               Printf.eprintf "stored %s\n" (Store.save ~dir m))
             store;
-          if json then print_endline (Campaign.summary_json c)
+          if json then print_endline (Campaign.summary_json ~confidence c)
           else begin
             Printf.printf "%s: injected %d%s, wrong answers %d (%s)\n"
               (Partition.paper_name design) c.Campaign.injected
@@ -830,219 +831,92 @@ let explain_cmd =
     then
       print_endline
         "  note         bit is outside the DUT fault list (unused resource)";
-    Printf.printf "  effect       %s\n" (Classify.name (Classify.classify impl bit));
-    (* structural attribution: domains / partitions the footprint touches *)
+    (* the campaign's own single-fault path: its verdict and forensic
+       record are the ones this bit gets inside a forensic campaign *)
     let a = Forensics.attrib_of_impl impl in
-    let st = Forensics.structural a bit in
+    let stim = ctx.Context.stimulus in
+    let h =
+      Campaign.harness ~name:(Partition.name design) ~impl
+        ~golden:ctx.Context.golden_nl ~stimulus:stim
+    in
+    let tr = Campaign.trace_fault ~attrib:a h bit in
+    let r = tr.Campaign.tr_result in
+    let f = Option.get r.Campaign.forensics in
+    Printf.printf "  effect       %s\n" (Classify.name r.Campaign.effect);
+    (* structural attribution: domains / partitions the footprint touches *)
     let domains =
       List.filter
-        (fun d -> st.Forensics.domain_mask land (1 lsl d) <> 0)
+        (fun d -> f.Forensics.domain_mask land (1 lsl d) <> 0)
         [ 0; 1; 2 ]
     in
     Printf.printf "  domains      %s%s\n"
       (if domains = [] then "none (unused or domain-neutral resources)"
        else String.concat "," (List.map string_of_int domains))
-      (if st.Forensics.cross_domain then
+      (if f.Forensics.cross_domain then
          "   <- cross-domain: bridges redundancy domains, the vote cannot fix it"
        else "");
     Printf.printf "  partitions   %s\n"
-      (if Array.length st.Forensics.partitions = 0 then "-"
+      (if Array.length f.Forensics.partitions = 0 then "-"
        else
          String.concat ", "
            (Array.to_list
-              (Array.map (Forensics.part_name a) st.Forensics.partitions)));
-    if st.Forensics.voter_touch then
+              (Array.map (Forensics.part_name a) f.Forensics.partitions)));
+    if f.Forensics.voter_touch then
       print_endline "  voter        footprint touches voter logic or a voter net";
-    (* build the fabric simulators and plan the fault *)
-    let stim = ctx.Context.stimulus in
-    let cycles = stim.Campaign.cycles in
-    let golden =
-      Campaign.golden_outputs ctx.Context.golden_nl stim
-    in
-    let ex =
-      Extract.create dev db
-        (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
-    in
-    let ws = Fsim.make_workspace dev in
-    (* the detecting voter's disagreement flags, when the design has
-       them: watched at the end, expected all-zero, like in campaigns *)
-    let detect_map =
-      List.filter_map
-        (fun port ->
-          if
-            List.mem_assoc port
-              (Tmr_netlist.Netlist.output_ports impl.Impl.mapped)
-          then Some (port, Campaign.dut_output_wires impl port)
-          else None)
-        Voter.detect_ports
-    in
-    let ndetect =
-      List.fold_left (fun n (_, w) -> n + Array.length w) 0 detect_map
-    in
-    let watch_outputs =
-      Array.concat
-        (List.map (fun (port, _) -> Campaign.dut_output_wires impl port) golden
-        @ List.map snd detect_map)
-    in
-    let base = Fsim.build ~ws ex ~watch_outputs in
-    let cone = Fsim.snapshot_cone ws in
-    let plan = Fsim.plan_fault cone ex bit in
-    Printf.printf "  plan path    %s\n" (Fsim.path_name plan);
-    let io_ins sim =
-      List.map
-        (fun (port, samples) ->
-          ( List.map (Fsim.pad_nodes sim) (Campaign.dut_input_wires impl port),
-            samples ))
-        stim.Campaign.inputs
-    in
-    let drive sim ins c =
-      List.iter
-        (fun (node_sets, samples) ->
-          let v = samples.(c) in
-          List.iter
-            (fun nodes ->
-              Array.iteri
-                (fun i n ->
-                  Fsim.set_node sim n (Logic.of_bool ((v asr i) land 1 = 1)))
-                nodes)
-            node_sets)
-        ins
-    in
-    Extract.apply_bit_flip ex bit;
-    (* differential divergence trace (patch / reroute faults only) *)
-    let diffinfo =
-      match plan with
-      | Fsim.Path_patch | Fsim.Path_reroute -> (
-          let ins = io_ins base in
-          let tape =
-            Fsim.tape_create ~nnodes:(Fsim.num_nodes base) ~cycles
-          in
-          Fsim.reset base;
-          for c = 0 to cycles - 1 do
-            drive base ins c;
-            Fsim.eval base;
-            Fsim.tape_record tape base ~cycle:c;
-            Fsim.clock base
-          done;
-          let base_watch = Fsim.watch_nodes base watch_outputs in
-          let expected =
-            let det_zeros = Array.make ndetect Logic.Zero in
-            Array.init cycles (fun c ->
-                Array.concat
-                  (List.map (fun (_, m) -> m.(c)) golden @ [ det_zeros ]))
-          in
-          let dsc = Fsim.make_dscratch () in
-          let run_diff sim seeds =
-            let watch =
-              if sim == base then base_watch
-              else Fsim.watch_nodes sim watch_outputs
-            in
-            Fsim.diff_run ~ndetect ~forensics:true ~scratch:dsc ~tape ~base
-              ~sim ~seeds ~watch ~base_watch ~expected ()
-          in
-          match plan with
-          | Fsim.Path_patch ->
-              let seed = Fsim.patch_node cone ex bit in
-              let res =
-                Fsim.with_patch cone base ex bit (fun sim ->
-                    run_diff sim (Fsim.Seed_node seed))
-              in
-              Some (dsc, res)
-          | Fsim.Path_reroute -> (
-              let scratch = Fsim.make_scratch () in
-              match Fsim.reroute ~scratch cone base ex bit with
-              | Some sim -> Some (dsc, run_diff sim Fsim.Seed_derived)
-              | None -> None)
-          | _ -> None)
-      | _ -> None
-    in
-    (* ground truth: full rebuild of the faulted fabric, replayed end to
-       end (also feeds the waveform) *)
-    let fsim = Fsim.build ex ~watch_outputs in
-    let ins = io_ins fsim in
-    let outs =
-      List.map
-        (fun (port, matrix) ->
-          (port, Fsim.watch_nodes fsim (Campaign.dut_output_wires impl port),
-           matrix))
-        golden
-    in
+    Printf.printf "  plan path    %s\n" (Fsim.path_name tr.Campaign.tr_plan);
+    (* ground truth: the rebuild oracle replayed end to end, also feeding
+       the per-flag first cycles and the waveform *)
+    let golden = Campaign.golden_reference h in
+    let flags = List.map (fun p -> (p, ref (-1))) (Campaign.detect_ports h) in
     let vcd = Option.map (fun _ -> Vcd.writer ()) vcd_out in
     let vcd_sigs =
       match vcd with
       | None -> []
       | Some w ->
           List.map
-            (fun (port, _, matrix) ->
+            (fun (port, matrix) ->
               let width = Array.length matrix.(0) in
               ( Vcd.add_signal w ~label:port ~width,
                 Vcd.add_signal w ~label:(port ^ ".golden") ~width ))
-            outs
+            golden
     in
-    Fsim.reset fsim;
-    let first_err = ref (-1) in
-    let err_detail = ref None in
-    (* per disagreement flag: the first cycle it left zero *)
-    let det_nodes =
-      List.map
-        (fun (port, wires) -> (port, Fsim.watch_nodes fsim wires, ref (-1)))
-        detect_map
-    in
-    for c = 0 to cycles - 1 do
-      drive fsim ins c;
-      Fsim.eval fsim;
-      List.iter
-        (fun (port, nodes, matrix) ->
-          Array.iteri
-            (fun i n ->
-              if not (Logic.equal (Fsim.node_value fsim n) matrix.(c).(i))
-              then begin
-                if !first_err < 0 then begin
-                  first_err := c;
-                  err_detail := Some (port, i)
-                end
-              end)
-            nodes)
-        outs;
-      List.iter
-        (fun (_, nodes, first) ->
-          if
-            !first < 0
-            && Array.exists
-                 (fun n ->
-                   not (Logic.equal (Fsim.node_value fsim n) Logic.Zero))
-                 nodes
+    let observe (o : Campaign.observation) =
+      let c = o.Campaign.ob_cycle in
+      List.iter2
+        (fun (_, first) v ->
+          if !first < 0 && Array.exists (fun x -> not (Logic.equal x Logic.Zero)) v
           then first := c)
-        det_nodes;
-      (match vcd with
-      | Some w ->
+        flags o.Campaign.ob_flags;
+      Option.iter
+        (fun w ->
           List.iter2
-            (fun (fs, gs) (_, nodes, matrix) ->
-              Vcd.set w fs (Array.map (Fsim.node_value fsim) nodes);
+            (fun (fs, gs) ((_, matrix), got) ->
+              Vcd.set w fs got;
               Vcd.set w gs matrix.(c))
-            vcd_sigs outs;
-          Vcd.tick w
-      | None -> ());
-      Fsim.clock fsim
-    done;
-    (match !first_err with
-    | -1 -> print_endline "  outcome      silent (all outputs match golden)"
-    | c ->
-        let port, i = Option.get !err_detail in
+            vcd_sigs
+            (List.combine golden o.Campaign.ob_outputs);
+          Vcd.tick w)
+        vcd
+    in
+    let ex = Campaign.fresh_extract h in
+    Extract.apply_bit_flip ex bit;
+    let first_err, _, mismatch = Campaign.replay ~observe h ex in
+    (match mismatch with
+    | None -> print_endline "  outcome      silent (all outputs match golden)"
+    | Some (port, i, _, _) ->
         Printf.printf
           "  outcome      WRONG ANSWER, first at cycle %d (port %S bit %d)\n"
-          c port i);
-    if ndetect > 0 then begin
+          first_err port i);
+    if flags <> [] then begin
       let fired =
         List.filter_map
-          (fun (port, _, first) ->
-            if !first >= 0 then Some (port, !first) else None)
-          det_nodes
+          (fun (port, first) -> if !first >= 0 then Some (port, !first) else None)
+          flags
       in
       match fired with
       | [] ->
           print_endline
-            (if !first_err >= 0 then
+            (if first_err >= 0 then
                "  detection    NONE — silent data corruption: no \
                 disagreement flag ever fired"
              else "  detection    none (no voter pair ever disagreed)")
@@ -1053,90 +927,65 @@ let explain_cmd =
                (List.map (fun (p, c) -> Printf.sprintf "%s@%d" p c) l))
             earliest
     end;
-    (match diffinfo with
-    | None -> (
-        match plan with
-        | Fsim.Path_silent ->
-            print_endline
-              "  divergence   none: the bit is outside the DUT's active \
-               fabric (cone-silent)"
-        | _ ->
-            print_endline
-              "  divergence   n/a: the fault restructures the netlist \
-               (rebuild path), no differential trace")
-    | Some (dsc, (derr, conv, ddet)) ->
-        if ndetect > 0 && ddet >= 0 then
-          Printf.printf
-            "  diff detect  differential engine saw the flag at cycle %d\n"
-            ddet;
-        let d = Fsim.diff_forensics dsc in
-        Printf.printf "  cone         %d nodes, %d seeds, frontier %d\n"
-          d.Fsim.df_cone d.Fsim.df_seeds d.Fsim.df_frontier;
-        if d.Fsim.df_diverged = 0 then
-          print_endline
-            (if !first_err >= 0 then
-               "  divergence   confined to rewired/appended nodes (no \
-                baseline-comparable node diverged)"
-             else
-               "  divergence   cone never left the baseline (masked at the \
-                fault site)")
-        else begin
-          Printf.printf
-            "  divergence   %d cone nodes diverged; first at cycle %d, \
-             propagation depth %d\n"
-            d.Fsim.df_diverged d.Fsim.df_first_cycle d.Fsim.df_depth;
-          (* describe the first diverging node via its bel, if it has one *)
-          let node = d.Fsim.df_first_node in
-          let bel = ref (-1) in
-          for b = 0 to dev.Tmr_arch.Device.nbels - 1 do
-            if !bel < 0 && Fsim.cone_node_of_bel cone b = node then bel := b
-          done;
-          if !bel >= 0 then
+    if tr.Campaign.tr_cone >= 0 then begin
+      if flags <> [] && r.Campaign.detect_cycle >= 0 then
+        Printf.printf
+          "  diff detect  differential engine saw the flag at cycle %d\n"
+          r.Campaign.detect_cycle;
+      Printf.printf "  cone         %d nodes, %d seeds, frontier %d\n"
+        tr.Campaign.tr_cone tr.Campaign.tr_seeds tr.Campaign.tr_frontier;
+      if f.Forensics.diverged = 0 then
+        print_endline
+          (if first_err >= 0 then
+             "  divergence   confined to rewired/appended nodes (no \
+              baseline-comparable node diverged)"
+           else
+             "  divergence   cone never left the baseline (masked at the \
+              fault site)")
+      else begin
+        Printf.printf
+          "  divergence   %d cone nodes diverged; first at cycle %d, \
+           propagation depth %d\n"
+          f.Forensics.diverged f.Forensics.diverge_cycle f.Forensics.depth;
+        (* describe the first diverging node via its bel, if it has one *)
+        let node = f.Forensics.first_diverged_node in
+        (match tr.Campaign.tr_first_bel with
+        | -1 -> Printf.printf "  first node   %d (routing/pad node)\n" node
+        | bel ->
             Printf.printf
               "  first node   %d = bel %d (domain %d, partition %s%s)\n" node
-              !bel
-              a.Forensics.bel_domain.(!bel)
-              (Forensics.part_name a a.Forensics.bel_part.(!bel))
-              (if a.Forensics.bel_voter.(!bel) then ", voter" else "")
-          else Printf.printf "  first node   %d (routing/pad node)\n" node;
-          (* voter masking: silent overall, yet some voter in the cone
-             held its baseline value every cycle *)
-          if derr < 0 then begin
-            let nn = Fsim.num_nodes base in
-            let voter_nodes = Bytes.make nn '\000' in
-            Array.iteri
-              (fun b isv ->
-                if isv then begin
-                  let n = Fsim.cone_node_of_bel cone b in
-                  if n >= 0 && n < nn then Bytes.set voter_nodes n '\001'
-                end)
-              a.Forensics.bel_voter;
-            let masked =
-              Array.exists
-                (fun n ->
-                  n < nn
-                  && Bytes.get voter_nodes n <> '\000'
-                  && not (Fsim.diff_node_diverged dsc n))
-                (Fsim.diff_cone dsc)
-            in
-            if masked then
-              print_endline
-                "  verdict      masked at a voter: internal corruption \
-                 stopped at (or before) a majority vote"
-            else
-              print_endline
-                "  verdict      silent but diverged; no voter in the cone \
-                 held its baseline (logic masking)"
-          end
-        end;
-        if conv >= 0 then
-          Printf.printf
-            "  convergence  faulty state rejoined the baseline at cycle %d\n"
-            conv);
+              bel a.Forensics.bel_domain.(bel)
+              (Forensics.part_name a a.Forensics.bel_part.(bel))
+              (if a.Forensics.bel_voter.(bel) then ", voter" else ""));
+        (* voter masking: silent overall, yet some voter in the cone
+           held its baseline value every cycle *)
+        if r.Campaign.first_error_cycle < 0 then
+          print_endline
+            (if f.Forensics.masked_at_voter then
+               "  verdict      masked at a voter: internal corruption \
+                stopped at (or before) a majority vote"
+             else
+               "  verdict      silent but diverged; no voter in the cone \
+                held its baseline (logic masking)")
+      end;
+      if tr.Campaign.tr_converge >= 0 then
+        Printf.printf
+          "  convergence  faulty state rejoined the baseline at cycle %d\n"
+          tr.Campaign.tr_converge
+    end
+    else
+      print_endline
+        (if tr.Campaign.tr_plan = Fsim.Path_silent then
+           "  divergence   none: the bit is outside the DUT's active fabric \
+            (cone-silent)"
+         else
+           "  divergence   n/a: the fault restructures the netlist (rebuild \
+            path), no differential trace");
     match (vcd, vcd_out) with
     | Some w, Some path ->
         Vcd.writer_save w path;
-        Printf.printf "  waveform     wrote %s (%d cycles)\n" path cycles
+        Printf.printf "  waveform     wrote %s (%d cycles)\n" path
+          stim.Campaign.cycles
     | _ -> ()
   in
   Cmd.v
@@ -1309,20 +1158,13 @@ let profile_cmd =
              line, counts = self time in µs) to $(docv) for \
              flamegraph.pl / inferno / speedscope.")
   in
-  let width_t =
-    Arg.(
-      value & opt int 60
-      & info [ "timeline-width" ] ~docv:"N"
-          ~doc:"Buckets in the per-worker utilization timeline.")
-  in
-  let run path collapsed width =
+  let run path collapsed =
     match Tmr_obs.Profile.load_file path with
     | Error e ->
         Printf.eprintf "tmrtool profile: %s\n" e;
         exit 1
     | Ok t ->
         print_string (Tmr_obs.Profile.report t);
-        ignore width;
         Option.iter
           (fun out ->
             let oc = open_out out in
@@ -1336,7 +1178,7 @@ let profile_cmd =
        ~doc:
          "aggregate a --trace run: per-span self/total time, per-worker \
           utilization, flamegraph export")
-    Term.(const run $ trace_arg $ collapsed_t $ width_t)
+    Term.(const run $ trace_arg $ collapsed_t)
 
 (* --- watch --- *)
 
@@ -1475,6 +1317,14 @@ let watch_cmd =
 let () =
   let doc = "optimal TMR voter partitioning on an SRAM FPGA (DATE'05 reproduction)" in
   let info = Cmd.info "tmrtool" ~doc ~version:(Store.version_string ()) in
-  exit (Cmd.eval (Cmd.group info
-       [ report_cmd; implement_cmd; inject_cmd; explain_cmd; congestion_cmd;
-         export_cmd; tables_cmd; profile_cmd; watch_cmd ]))
+  (* command-line usage errors exit 2, like the tool's own option checks *)
+  exit
+    (match
+       Cmd.eval_value
+         (Cmd.group info
+            [ report_cmd; implement_cmd; inject_cmd; explain_cmd;
+              congestion_cmd; export_cmd; tables_cmd; profile_cmd; watch_cmd ])
+     with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

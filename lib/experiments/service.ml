@@ -549,7 +549,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
            o_spools = !spools;
          })
 
-let summary_json j status =
+let summary_json ?confidence j status =
   let name = job_name j in
   match status with
   | Incomplete { done_shards; pending_shards } ->
@@ -557,7 +557,7 @@ let summary_json j status =
         "{\"job\":\"%s\",\"status\":\"incomplete\",\"done_shards\":%d,\"pending_shards\":%d}"
         (Tmr_obs.Jsonl.escape name) done_shards pending_shards
   | Complete o ->
-      let base = Campaign.summary_json o.o_campaign in
+      let base = Campaign.summary_json ?confidence o.o_campaign in
       (* splice the job fields into the campaign's summary object *)
       let body = String.sub base 0 (String.length base - 1) in
       Printf.sprintf

@@ -135,7 +135,8 @@ val interrupt : unit -> unit
     No-op otherwise.  Intended to be called from the host binary's
     SIGINT handler {e before} it flushes and closes its sinks. *)
 
-val summary_json : job -> status -> string
+val summary_json : ?confidence:float -> job -> status -> string
 (** One-line JSON: the job name plus either the merged campaign summary
-    (see {!Tmr_inject.Campaign.summary_json}, with [exhaustive] and
+    (see {!Tmr_inject.Campaign.summary_json}, its CI at [confidence]
+    (default 0.95), with [exhaustive] and
     shard counts spliced in) or the incomplete shard tally. *)

@@ -29,12 +29,6 @@ let paper_table3 =
 (* ------------------------------------------------------------------ *)
 (* Table 1 *)
 
-let count_wrong results =
-  Array.fold_left
-    (fun acc r ->
-      if r.Campaign.outcome = Campaign.Wrong_answer then acc + 1 else acc)
-    0 results
-
 (* Inject up to [n] faults of one bit class into the TMR design and report
    how many defeated it. *)
 let probe_class (ctx : Context.t) (run : Runs.design_run) cls n =
@@ -235,22 +229,14 @@ let table4 runs =
         "Table 4: effects induced by the upsets that caused a wrong answer"
       ~header aligns
   in
-  let count_effect results eff =
-    Array.fold_left
-      (fun acc r ->
-        if r.Campaign.outcome = Campaign.Wrong_answer && r.Campaign.effect = eff
-        then acc + 1
-        else acc)
-      0 results
-  in
   List.iter
     (fun eff ->
       let row =
         Classify.name eff
         :: List.concat_map
              (fun (_, c) ->
-               let n = count_effect c.Campaign.results eff in
-               let total = max 1 (count_wrong c.Campaign.results) in
+               let n = Campaign.wrong_by_effect c eff in
+               let total = max 1 c.Campaign.wrong in
                [
                  string_of_int n;
                  Printf.sprintf "%.0f" (100.0 *. float_of_int n /. float_of_int total);
@@ -264,7 +250,7 @@ let table4 runs =
     "Total"
     :: List.concat_map
          (fun (_, c) ->
-           [ string_of_int (count_wrong c.Campaign.results); "" ])
+           [ string_of_int c.Campaign.wrong; "" ])
          with_campaigns
   in
   Texttab.add_row t totals;

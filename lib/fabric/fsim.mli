@@ -77,22 +77,10 @@ type cone
 val snapshot_cone : workspace -> cone
 (** Capture the cone of the most recent {!build} run with this workspace. *)
 
-val cone_wire_count : cone -> int
-val cone_bel_count : cone -> int
-
 val cone_node_of_bel : cone -> int -> int
 (** Node id the cone assigned to a device bel, [-1] when the bel is
     outside the cone.  Lets a campaign map structural attributes (TMR
     domain, voter-ness) computed per bel onto simulation nodes. *)
-
-val cone_touches_bit : cone -> Extract.t -> int -> bool
-(** Whether a configuration bit controls a resource adjacent to the cone
-    (a pip with a cone endpoint, a cone bel's cell, a cone pad). *)
-
-val cone_frames : cone -> Extract.t -> bool array
-(** Per configuration frame: true when the frame holds at least one bit
-    the cone reads ({!cone_touches_bit}).  One entry per {!Tmr_arch.Bitdb}
-    frame. *)
 
 type fault_path =
   | Path_silent

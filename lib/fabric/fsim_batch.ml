@@ -38,12 +38,7 @@ module F = Fsim
 
 exception Ineligible
 
-let debug =
-  match Sys.getenv_opt "FSIM_BATCH_DEBUG" with Some "" | None -> false | Some _ -> true
-
-let bail msg =
-  if debug then Printf.eprintf "[fsim_batch] bail: %s\n%!" msg;
-  raise Ineligible
+let bail (_reason : string) = raise Ineligible
 
 type verdict = {
   bv_error_cycle : int;
@@ -258,7 +253,6 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
     invalid_arg "Fsim_batch.run: expected matrix / tape cycle mismatch";
   let ns = (nlanes + 31) / 32 in
   let fullw = Lanes.full in
-  let t_start = if debug then Sys.time () else 0. in
   try
     (* ---- lane address space: extras of lane i live at
        [lane_extbase.(i) ..], after every base node ---- *)
@@ -670,12 +664,7 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
             for j = 0 to tot_extras - 1 do
               if ext_lane.(j) = li && in_l (bn + j) then visit (bn + j)
             done
-          with Lane_cycle ->
-            if debug then
-              Printf.eprintf
-                "[fsim_batch] lane %d declined: effective circuit cyclic\n%!"
-                li;
-            lane_dead.(li) <- true
+          with Lane_cycle -> lane_dead.(li) <- true
         end
       done
     end;
@@ -711,18 +700,6 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
           end)
     done;
     let nfrontier = !nfrontier in
-    if debug then
-      Printf.eprintf
-        "[fsim_batch] batch: %d lanes, union cone %d of %d nodes, frontier \
-         %d, leftover %d\n\
-         %!"
-        nlanes nm bn nfrontier
-        (let k = ref 0 in
-         for i = 0 to nm - 1 do
-           let u = t.members.(i) in
-           if Bytes.get t.mark u <> '\000' && t.indeg.(u) > 0 then incr k
-         done;
-         !k);
     (* per-lane seeds, deduplicated, ordered for replay: the scalar
        replay evaluates seeds in the fault's own cone order, but only
        DIRECT seed->seed effective edges constrain it (non-seed inputs
@@ -1129,8 +1106,6 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
     (* nodes whose value planes changed this cycle: only those need
        their previous-cycle (glitch-rule) planes refreshed at the
        boundary, instead of copying the whole union cone every cycle *)
-    let dbg_evals = ref 0 in
-    let dbg_commits = ref 0 in
     let chmark = Bytes.make nn '\000' in
     let chlist = Array.make (nm + nfrontier + 1) 0 in
     let nch = ref 0 in
@@ -1188,14 +1163,12 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
          done
        end);
       if !obs then begin
-        if debug then incr dbg_commits;
         note_changed u;
         mark_readers u tick ~pu:t.pos.(u)
       end
     in
     let eval_member u tick =
       if t.dirty.(u) >= tick then begin
-        if debug then incr dbg_evals;
         (* consume the event so extra sweeps only revisit re-marked
            nodes; a tick+1 stamp (resolve next-cycle rule) survives *)
         if t.dirty.(u) = tick then t.dirty.(u) <- tick - 1;
@@ -1350,11 +1323,9 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
       done
     in
     (* ---- the per-cycle loop ---- *)
-    let t_setup = if debug then Sys.time () else 0. in
     let err_cy = Array.make nlanes (-1) in
     let conv_cy = Array.make nlanes (-1) in
     let det_cy = Array.make nlanes (-1) in
-    let dbg_sweeps = ref 0 in
     let und = Lanemask.create nlanes in
     Lanemask.set_all und;
     Array.iteri (fun li d -> if d then Lanemask.clear und li) lane_dead;
@@ -1416,8 +1387,7 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
           sweep_again := false;
           for i = s0 to s1 - 1 do
             eval_member t.order.(i) tick
-          done;
-          if debug && !sweep_again then incr dbg_sweeps
+          done
         done
       done;
       (* watched-output check (before the clock, like the scalar
@@ -1567,14 +1537,6 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
       end;
       incr cy
     done;
-    if debug then
-      Printf.eprintf
-        "[fsim_batch] ran %d cycles, %d extra sweeps, %d evals, %d commits, \
-         %d diverged at end (setup %.2fms loop %.2fms)\n\
-         %!"
-        !cy !dbg_sweeps !dbg_evals !dbg_commits !ndl
-        ((t_setup -. t_start) *. 1e3)
-        ((Sys.time () -. t_setup) *. 1e3);
     (* restore the all-zero divergence invariant for the next run:
        every touched [dv]/[dvl]/[dq]/[dmark] entry is a member's *)
     for i = 0 to nm - 1 do

@@ -227,10 +227,92 @@ let dut_output_wires impl port =
   let bits = Netlist.find_output_port impl.Impl.mapped port in
   Array.init (Array.length bits) (Impl.output_pad_wire impl port)
 
+(* ------------------------------------------------------------------ *)
+(* The per-design harness: everything a fault verdict is measured
+   against, computed once per design and shared read-only by every
+   worker. *)
+
+type harness = {
+  h_name : string;
+  h_impl : Impl.t;
+  h_cycles : int;
+  h_inputs : (int array list * int array) list;  (* pad wire sets, samples *)
+  h_outputs : (string * int array * Logic.t array array) list;
+      (* pad wires and golden matrix per output port *)
+  h_detects : (string * int array) list;
+  h_ndetect : int;
+  h_watch : int array;
+  h_expected : Logic.t array array;
+  h_extract : Extract.t;
+  h_replay_ws : Fsim.workspace Lazy.t;
+}
+
+let harness ~name ~impl ~golden ~stimulus =
+  let golden_ref =
+    Tmr_obs.Trace.with_span "golden" (fun () -> golden_outputs golden stimulus)
+  in
+  let h_inputs =
+    List.map
+      (fun (port, samples) -> (dut_input_wires impl port, samples))
+      stimulus.inputs
+  in
+  let h_outputs =
+    List.map
+      (fun (port, matrix) -> (port, dut_output_wires impl port, matrix))
+      golden_ref
+  in
+  (* In-circuit detection flags: the detecting voter's pairwise
+     disagreement ports, when the implemented design carries them.
+     Their pad wires ride at the END of [h_watch] with an all-zero
+     expectation; the engines treat the trailing [h_ndetect] watch
+     entries as detection observables and keep simulating past a
+     functional error until the flag verdict resolves (and vice
+     versa).  Designs without detection ports get [h_ndetect = 0] and
+     the historical behaviour, bit for bit. *)
+  let h_detects =
+    List.filter_map
+      (fun port ->
+        if List.mem_assoc port (Netlist.output_ports impl.Impl.mapped) then
+          Some (port, dut_output_wires impl port)
+        else None)
+      Tmr_core.Voter.detect_ports
+  in
+  let h_ndetect =
+    List.fold_left (fun n (_, w) -> n + Array.length w) 0 h_detects
+  in
+  let h_watch =
+    Array.concat
+      (List.map (fun (_, wires, _) -> wires) h_outputs @ List.map snd h_detects)
+  in
+  (* Golden output matrix flattened per cycle, in [h_watch] order: the
+     differential engines' cone-aware output check indexes it by flat
+     watch position. *)
+  let h_expected =
+    let det_zeros = Array.make h_ndetect Logic.Zero in
+    Array.init stimulus.cycles (fun c ->
+        Array.concat
+          (List.map (fun (_, _, m) -> m.(c)) h_outputs @ [ det_zeros ]))
+  in
+  let dev = impl.Impl.dev in
+  (* Scan the image once; workers clone the derived state ({!Extract.copy})
+     instead of re-extracting 1.4M bits each. *)
+  let h_extract =
+    Tmr_obs.Trace.with_span "extract" (fun () ->
+        Extract.create dev impl.Impl.db
+          (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream))
+  in
+  { h_name = name; h_impl = impl; h_cycles = stimulus.cycles; h_inputs;
+    h_outputs; h_detects; h_ndetect; h_watch; h_expected; h_extract;
+    h_replay_ws = lazy (Fsim.make_workspace dev) }
+
+let golden_reference h = List.map (fun (port, _, m) -> (port, m)) h.h_outputs
+let detect_ports h = List.map fst h.h_detects
+let fresh_extract h = Extract.copy h.h_extract
+
 (* Resolved physical IO of one simulator: pad-node sets per input port,
    (watch nodes, golden matrix) per output port.  Resolving once per
-   simulator — instead of once per fault, as [run_dut] used to — keeps
-   hash lookups out of the steady-state fault loop entirely. *)
+   simulator — not once per fault — keeps hash lookups out of the
+   steady-state fault loop entirely. *)
 type io = {
   io_ins : (int array list * int array) list;
   io_outs : (int array * Logic.t array array) list;
@@ -238,6 +320,349 @@ type io = {
       (* in-circuit detection flag nodes, one array per detect port;
          expected all-zero on the fault-free device *)
 }
+
+let resolve_io h sim =
+  {
+    io_ins =
+      List.map
+        (fun (wire_sets, samples) ->
+          (List.map (Fsim.pad_nodes sim) wire_sets, samples))
+        h.h_inputs;
+    io_outs =
+      List.map
+        (fun (_, wires, matrix) -> (Fsim.watch_nodes sim wires, matrix))
+        h.h_outputs;
+    io_dets = List.map (fun (_, wires) -> Fsim.watch_nodes sim wires) h.h_detects;
+  }
+
+(* The one per-cycle DUT stepping loop: from reset, drive each cycle's
+   stimulus, settle, and hand the cycle to [k]; clock into the next
+   cycle while [k] asks to go on. *)
+let step_dut h sim io k =
+  Fsim.reset sim;
+  let rec go c =
+    if c < h.h_cycles then begin
+      List.iter
+        (fun (node_sets, samples) ->
+          let v = samples.(c) in
+          List.iter
+            (fun nodes ->
+              Array.iteri
+                (fun i n ->
+                  Fsim.set_node sim n (Logic.of_bool ((v asr i) land 1 = 1)))
+                nodes)
+            node_sets)
+        io.io_ins;
+      Fsim.eval sim;
+      if k c then begin
+        Fsim.clock sim;
+        go (c + 1)
+      end
+    end
+  in
+  go 0
+
+type observation = {
+  ob_cycle : int;
+  ob_outputs : Logic.t array list;
+  ob_flags : Logic.t array list;
+}
+
+(* Run the DUT through the stimulus; return the first cycle where any
+   functional output bit disagrees with the golden reference (or -1),
+   the first cycle an in-circuit detection flag left zero (or -1), and
+   the first disagreeing (port, bit, expected, got).  With detection
+   flags present the run continues past a functional error until the
+   flag verdict also resolves — detection latency is an observable, not
+   a side effect of when we stopped.  An [observe]r sees every cycle, so
+   the run then covers the whole stimulus. *)
+let run_dut ?observe h sim io =
+  let error_cycle = ref (-1) and mismatch = ref None in
+  let detect_cycle = ref (-1) in
+  let det_pending () = io.io_dets <> [] && !detect_cycle < 0 in
+  let rec first_mismatch c outs ios =
+    match (outs, ios) with
+    | (port, _, _) :: outs, (nodes, matrix) :: ios ->
+        let expected = matrix.(c) in
+        let rec scan i =
+          if i >= Array.length nodes then first_mismatch c outs ios
+          else
+            let got = Fsim.node_value sim nodes.(i) in
+            if Logic.equal got expected.(i) then scan (i + 1)
+            else Some (port, i, expected.(i), got)
+        in
+        scan 0
+    | _ -> None
+  in
+  step_dut h sim io (fun c ->
+      if !error_cycle < 0 then begin
+        mismatch := first_mismatch c h.h_outputs io.io_outs;
+        if Option.is_some !mismatch then error_cycle := c
+      end;
+      if det_pending () then begin
+        let fired =
+          List.exists
+            (Array.exists (fun n1 ->
+                 not (Logic.equal (Fsim.node_value sim n1) Logic.Zero)))
+            io.io_dets
+        in
+        if fired then detect_cycle := c
+      end;
+      match observe with
+      | None -> !error_cycle < 0 || det_pending ()
+      | Some f ->
+          let values nodes = Array.map (Fsim.node_value sim) nodes in
+          f
+            {
+              ob_cycle = c;
+              ob_outputs = List.map (fun (nodes, _) -> values nodes) io.io_outs;
+              ob_flags = List.map values io.io_dets;
+            };
+          true);
+  (!error_cycle, !detect_cycle, !mismatch)
+
+let replay ?observe h ex =
+  let ws = Lazy.force h.h_replay_ws in
+  let sim = Fsim.build ~ws ex ~watch_outputs:h.h_watch in
+  run_dut ?observe h sim (resolve_io h sim)
+
+(* The fault-free per-cycle value of every node, for the differential
+   engine: recorded once per worker, amortised over all its faults. *)
+let record_tape h sim io =
+  let tape = Fsim.tape_create ~nnodes:(Fsim.num_nodes sim) ~cycles:h.h_cycles in
+  step_dut h sim io (fun c ->
+      Fsim.tape_record tape sim ~cycle:c;
+      true);
+  tape
+
+(* baseline: the un-faulted DUT must match the golden device *)
+let check_baseline h sim io =
+  match run_dut h sim io with
+  | -1, -1, _ -> ()
+  | -1, d, _ ->
+      failwith
+        (Printf.sprintf
+           "Campaign %s: fault-free DUT raises an in-circuit detection flag \
+            at cycle %d"
+           h.h_name d)
+  | c, _, m ->
+      let port, i, expected, got = Option.get m in
+      failwith
+        (Printf.sprintf
+           "Campaign %s: fault-free DUT disagrees with golden device at cycle \
+            %d (port %S bit %d: expected %c, got %c)"
+           h.h_name c port i (Logic.to_char expected) (Logic.to_char got))
+
+(* ------------------------------------------------------------------ *)
+(* One worker's simulator state and the scalar single-fault dispatch.
+   Every fault that does not run in a batch lane goes through [inject],
+   in campaign workers and in {!trace_fault} alike. *)
+
+type worker = {
+  w_h : harness;
+  w_cone_skip : bool;
+  w_fattr : Forensics.attrib option;  (* Some = forensics on *)
+  w_ex : Extract.t;  (* flipped only while a fault runs *)
+  w_ws : Fsim.workspace;
+  w_scratch : Fsim.scratch;
+  w_base : Fsim.t;
+  w_cone : Fsim.cone;  (* golden cone snapshot, for the fast paths *)
+  w_tape : Fsim.tape;  (* the fault-free tape differential faults replay *)
+  w_base_watch : int array;
+  (* separate diff scratches per plan path: patch faults run on the base
+     simulator whose successor CSR is then cached across the whole
+     campaign, instead of being evicted by every interleaved reroute *)
+  w_dsc_patch : Fsim.dscratch;
+  w_dsc_reroute : Fsim.dscratch;
+  w_voter_nodes : Bytes.t;  (* voter bels of the golden cone, as nodes *)
+  mutable w_stats : engine_stats;
+  mutable w_converge : int;  (* last differential fault's convergence *)
+}
+
+let make_worker ~check ~cone_skip ~fattr h =
+  let w_ex = fresh_extract h in
+  let w_ws = Fsim.make_workspace h.h_impl.Impl.dev in
+  let w_base = Fsim.build ~ws:w_ws w_ex ~watch_outputs:h.h_watch in
+  let w_cone = Fsim.snapshot_cone w_ws in
+  let io = resolve_io h w_base in
+  if check then check_baseline h w_base io;
+  let w_tape = record_tape h w_base io in
+  let w_voter_nodes =
+    match fattr with
+    | None -> Bytes.empty
+    | Some a ->
+        let nb = Bytes.make (Fsim.num_nodes w_base) '\000' in
+        Array.iteri
+          (fun bel isv ->
+            if isv then begin
+              let n = Fsim.cone_node_of_bel w_cone bel in
+              if n >= 0 && n < Bytes.length nb then Bytes.set nb n '\001'
+            end)
+          a.Forensics.bel_voter;
+        nb
+  in
+  { w_h = h; w_cone_skip = cone_skip; w_fattr = fattr; w_ex; w_ws;
+    w_scratch = Fsim.make_scratch (); w_base; w_cone; w_tape;
+    w_base_watch = Array.concat (List.map fst io.io_outs @ io.io_dets);
+    w_dsc_patch = Fsim.make_dscratch (); w_dsc_reroute = Fsim.make_dscratch ();
+    w_voter_nodes; w_stats = no_stats; w_converge = -1 }
+
+let bump w f = w.w_stats <- f w.w_stats
+
+let note_converge w cv =
+  w.w_converge <- cv;
+  if cv >= 0 then begin
+    bump w (fun s -> { s with converged = s.converged + 1 });
+    Tmr_obs.Metrics.observe m_converge cv
+  end
+
+(* The forensic record: structural attribution on every plan path;
+   divergence fields from the diff scratch when the fault ran
+   differentially.  [masked_at_voter]: the fault corrupted cone state
+   yet stayed silent, and some voter in its fanout cone never left the
+   baseline — the corruption was out-voted (as opposed to logically
+   masked before reaching any voter). *)
+let forensic_of w bit error_cycle dsc_opt =
+  match w.w_fattr with
+  | None -> None
+  | Some a ->
+      let f = Forensics.structural a bit in
+      let f =
+        match dsc_opt with
+        | None -> f
+        | Some dsc ->
+            let d = Fsim.diff_forensics dsc in
+            if not d.Fsim.df_collected then f
+            else begin
+              let voter_nodes = w.w_voter_nodes in
+              let masked =
+                error_cycle < 0
+                && d.Fsim.df_diverged > 0
+                && Array.exists
+                     (fun n ->
+                       n < Bytes.length voter_nodes
+                       && Bytes.get voter_nodes n <> '\000'
+                       && not (Fsim.diff_node_diverged dsc n))
+                     (Fsim.diff_cone dsc)
+              in
+              {
+                f with
+                Forensics.masked_at_voter = masked;
+                diverged = d.Fsim.df_diverged;
+                first_diverged_node = d.Fsim.df_first_node;
+                diverge_cycle = d.Fsim.df_first_cycle;
+                depth = d.Fsim.df_depth;
+                cone_nodes = d.Fsim.df_cone;
+              }
+            end
+      in
+      Some f
+
+let finish w ?dsc ?(detect = -1) bit error_cycle =
+  if error_cycle >= 0 then Tmr_obs.Metrics.observe m_first_error error_cycle;
+  {
+    bit;
+    outcome = (if error_cycle >= 0 then Wrong_answer else Silent);
+    effect = Classify.classify w.w_h.h_impl bit;
+    first_error_cycle = error_cycle;
+    detect_cycle = detect;
+    forensics = forensic_of w bit error_cycle dsc;
+  }
+
+(* One fault on the scalar engines.  Returns the result and the path the
+   engine actually took (a failed reroute executes as a rebuild and is
+   reported as one). *)
+let inject w bit =
+  let h = w.w_h and ex = w.w_ex and cone = w.w_cone and base = w.w_base in
+  let forensics = w.w_fattr <> None in
+  let plan =
+    if w.w_cone_skip then Fsim.plan_fault cone ex bit else Fsim.Path_rebuild
+  in
+  let diff ~scratch ~sim ~seeds ~watch =
+    let err, cv, det =
+      Fsim.diff_run ~ndetect:h.h_ndetect ~forensics ~scratch ~tape:w.w_tape
+        ~base ~sim ~seeds ~watch ~base_watch:w.w_base_watch
+        ~expected:h.h_expected ()
+    in
+    note_converge w cv;
+    (finish w ~dsc:scratch ~detect:det bit err, Fsim.Path_diff)
+  in
+  match plan with
+  | Fsim.Path_silent ->
+      bump w (fun s -> { s with skipped = s.skipped + 1 });
+      (finish w bit (-1), Fsim.Path_silent)
+  | Fsim.Path_diff -> assert false (* never planned *)
+  | Fsim.Path_patch ->
+      bump w (fun s -> { s with patched = s.patched + 1; diffed = s.diffed + 1 });
+      Extract.apply_bit_flip ex bit;
+      Fun.protect
+        ~finally:(fun () -> Extract.apply_bit_flip ex bit)
+        (fun () ->
+          let seed = Fsim.patch_node cone ex bit in
+          Fsim.with_patch cone base ex bit (fun sim ->
+              diff ~scratch:w.w_dsc_patch ~sim ~seeds:(Fsim.Seed_node seed)
+                ~watch:w.w_base_watch))
+  | Fsim.Path_reroute | Fsim.Path_rebuild -> (
+      Extract.apply_bit_flip ex bit;
+      Fun.protect
+        ~finally:(fun () -> Extract.apply_bit_flip ex bit)
+        (fun () ->
+          let rerouted =
+            match plan with
+            | Fsim.Path_reroute ->
+                Fsim.reroute ~scratch:w.w_scratch cone base ex bit
+            | _ -> None
+          in
+          match rerouted with
+          | Some sim ->
+              bump w (fun s ->
+                  { s with rerouted = s.rerouted + 1; diffed = s.diffed + 1 });
+              let watch =
+                if Fsim.same_io base sim then w.w_base_watch
+                else Fsim.watch_nodes sim h.h_watch
+              in
+              diff ~scratch:w.w_dsc_reroute ~sim ~seeds:Fsim.Seed_derived ~watch
+          | None ->
+              bump w (fun s -> { s with rebuilt = s.rebuilt + 1 });
+              let sim = Fsim.build ~ws:w.w_ws ex ~watch_outputs:h.h_watch in
+              let err, det, _ = run_dut h sim (resolve_io h sim) in
+              (finish w ~detect:det bit err, Fsim.Path_rebuild)))
+
+type trace = {
+  tr_result : fault_result;
+  tr_plan : Fsim.fault_path;
+  tr_converge : int;
+  tr_cone : int;
+  tr_seeds : int;
+  tr_frontier : int;
+  tr_first_bel : int;
+}
+
+let trace_fault ~attrib h bit =
+  let w = make_worker ~check:true ~cone_skip:true ~fattr:(Some attrib) h in
+  let plan = Fsim.plan_fault w.w_cone w.w_ex bit in
+  let r, path = inject w bit in
+  let untraced =
+    { tr_result = r; tr_plan = plan; tr_converge = -1; tr_cone = -1;
+      tr_seeds = -1; tr_frontier = -1; tr_first_bel = -1 }
+  in
+  match (path, r.forensics) with
+  | Fsim.Path_diff, Some f ->
+      let d =
+        Fsim.diff_forensics
+          (if plan = Fsim.Path_patch then w.w_dsc_patch else w.w_dsc_reroute)
+      in
+      let nbels = h.h_impl.Impl.dev.Device.nbels in
+      let rec bel b =
+        if b >= nbels then -1
+        else if Fsim.cone_node_of_bel w.w_cone b = f.Forensics.first_diverged_node
+        then b
+        else bel (b + 1)
+      in
+      { untraced with tr_converge = w.w_converge; tr_cone = d.Fsim.df_cone;
+        tr_seeds = d.Fsim.df_seeds; tr_frontier = d.Fsim.df_frontier;
+        tr_first_bel = bel 0 }
+  | _ -> untraced
 
 (* Sequential-stopping monitor.  Results land in arbitrary order, but the
    stopping decision must be a function of the fault *prefix* in index
@@ -296,6 +721,31 @@ let group_key dev db bit =
   | Bitdb.Pip p -> (4 * dev.Device.pip_dst.(p)) + 1
   | Bitdb.Pad_enable p | Bitdb.Pad_cfg (p, _) -> (4 * p) + 2
 
+type detection_counts = {
+  dc_silent_correct : int;
+  dc_detected_corrected : int;
+  dc_detected_wrong : int;
+  dc_silent_wrong : int;
+}
+
+let count_verdicts results =
+  Array.fold_left
+    (fun acc r ->
+      match verdict_of r with
+      | Silent_correct -> { acc with dc_silent_correct = acc.dc_silent_correct + 1 }
+      | Detected_corrected ->
+          { acc with dc_detected_corrected = acc.dc_detected_corrected + 1 }
+      | Detected_wrong ->
+          { acc with dc_detected_wrong = acc.dc_detected_wrong + 1 }
+      | Silent_wrong -> { acc with dc_silent_wrong = acc.dc_silent_wrong + 1 })
+    {
+      dc_silent_correct = 0;
+      dc_detected_corrected = 0;
+      dc_detected_wrong = 0;
+      dc_silent_wrong = 0;
+    }
+    results
+
 let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
     ?stop_at_ci ~name ~impl ~golden ~stimulus ~faults () =
   let workers =
@@ -314,190 +764,9 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
              Forensics.attrib_of_impl impl))
     else None
   in
-  let golden_ref =
-    Tmr_obs.Trace.with_span "golden" (fun () -> golden_outputs golden stimulus)
-  in
-  (* physical IO map — shared read-only across workers *)
-  let input_map =
-    List.map
-      (fun (port, samples) -> (dut_input_wires impl port, samples))
-      stimulus.inputs
-  in
-  let output_map =
-    List.map
-      (fun (port, matrix) -> (port, dut_output_wires impl port, matrix))
-      golden_ref
-  in
-  (* In-circuit detection flags: the detecting voter's pairwise
-     disagreement ports, when the implemented design carries them.
-     Their pad wires ride at the END of [watch_outputs] with an
-     all-zero expectation; the engines treat the trailing [ndetect]
-     watch entries as detection observables and keep simulating past a
-     functional error until the flag verdict resolves (and vice
-     versa).  Designs without detection ports get [ndetect = 0] and
-     the historical behaviour, bit for bit. *)
-  let detect_map =
-    List.filter_map
-      (fun port ->
-        if List.mem_assoc port (Netlist.output_ports impl.Impl.mapped) then
-          Some (port, dut_output_wires impl port)
-        else None)
-      Tmr_core.Voter.detect_ports
-  in
-  let ndetect =
-    List.fold_left (fun n (_, w) -> n + Array.length w) 0 detect_map
-  in
-  let watch_outputs =
-    Array.concat
-      (List.map (fun (_, wires, _) -> wires) output_map
-      @ List.map snd detect_map)
-  in
+  let h = harness ~name ~impl ~golden ~stimulus in
+  let ndetect = h.h_ndetect in
   let dev = impl.Impl.dev and db = impl.Impl.db in
-  let golden_bits = impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream in
-  (* Scan the image once; workers clone the derived state ({!Extract.copy})
-     instead of re-extracting 1.4M bits each. *)
-  let golden_ex =
-    Tmr_obs.Trace.with_span "extract" (fun () ->
-        Extract.create dev db (Bitstream.copy golden_bits))
-  in
-  let new_extract () = Extract.copy golden_ex in
-  let resolve_io sim =
-    {
-      io_ins =
-        List.map
-          (fun (wire_sets, samples) ->
-            (List.map (Fsim.pad_nodes sim) wire_sets, samples))
-          input_map;
-      io_outs =
-        List.map
-          (fun (_, wires, matrix) -> (Fsim.watch_nodes sim wires, matrix))
-          output_map;
-      io_dets =
-        List.map (fun (_, wires) -> Fsim.watch_nodes sim wires) detect_map;
-    }
-  in
-  let drive sim io c =
-    List.iter
-      (fun (node_sets, samples) ->
-        let v = samples.(c) in
-        List.iter
-          (fun nodes ->
-            Array.iteri
-              (fun i n ->
-                Fsim.set_node sim n (Logic.of_bool ((v asr i) land 1 = 1)))
-              nodes)
-          node_sets)
-      io.io_ins
-  in
-  (* Run the DUT through the stimulus; return the first cycle where any
-     functional output bit disagrees with the golden reference (or -1)
-     paired with the first cycle an in-circuit detection flag left zero
-     (or -1).  With detection flags present the run continues past a
-     functional error until the flag verdict also resolves — detection
-     latency is an observable, not a side effect of when we stopped. *)
-  let run_dut sim io =
-    Fsim.reset sim;
-    let error_cycle = ref (-1) in
-    let detect_cycle = ref (-1) in
-    let det_pending () = io.io_dets <> [] && !detect_cycle < 0 in
-    let cycle = ref 0 in
-    while (!error_cycle < 0 || det_pending ()) && !cycle < stimulus.cycles do
-      let c = !cycle in
-      drive sim io c;
-      Fsim.eval sim;
-      if !error_cycle < 0 then begin
-        let ok =
-          List.for_all
-            (fun (nodes, matrix) ->
-              let expected = matrix.(c) in
-              let n = Array.length nodes in
-              let rec check i =
-                i >= n
-                || (Logic.equal (Fsim.node_value sim nodes.(i)) expected.(i)
-                    && check (i + 1))
-              in
-              check 0)
-            io.io_outs
-        in
-        if not ok then error_cycle := c
-      end;
-      if det_pending () then begin
-        let fired =
-          List.exists
-            (Array.exists (fun n1 ->
-                 not (Logic.equal (Fsim.node_value sim n1) Logic.Zero)))
-            io.io_dets
-        in
-        if fired then detect_cycle := c
-      end;
-      if !error_cycle < 0 || det_pending () then Fsim.clock sim;
-      incr cycle
-    done;
-    (!error_cycle, !detect_cycle)
-  in
-  (* The fault-free per-cycle value of every node, for the differential
-     engine: recorded once per worker, amortised over all its faults. *)
-  let record_tape sim io =
-    let tape =
-      Fsim.tape_create ~nnodes:(Fsim.num_nodes sim) ~cycles:stimulus.cycles
-    in
-    Fsim.reset sim;
-    for c = 0 to stimulus.cycles - 1 do
-      drive sim io c;
-      Fsim.eval sim;
-      Fsim.tape_record tape sim ~cycle:c;
-      Fsim.clock sim
-    done;
-    tape
-  in
-  (* Golden output matrix flattened per cycle, in [watch_outputs] order:
-     the differential engine's cone-aware output check indexes it by
-     flat watch position. *)
-  let expected_flat =
-    let det_zeros = Array.make ndetect Logic.Zero in
-    Array.init stimulus.cycles (fun c ->
-        Array.concat
-          (List.map (fun (_, _, m) -> m.(c)) output_map @ [ det_zeros ]))
-  in
-  (* baseline: the un-faulted DUT must match the golden device *)
-  let check_baseline sim io =
-    match run_dut sim io with
-    | -1, -1 -> ()
-    | -1, d ->
-        failwith
-          (Printf.sprintf
-             "Campaign %s: fault-free DUT raises an in-circuit detection \
-              flag at cycle %d"
-             name d)
-    | c, _ ->
-        (* pinpoint the first disagreeing output bit for the message *)
-        let detail =
-          List.find_map
-            (fun (port, wires, matrix) ->
-              let expected = matrix.(c) in
-              let n = Array.length wires in
-              let rec scan i =
-                if i >= n then None
-                else
-                  let got = Fsim.read sim wires.(i) in
-                  if not (Logic.equal got expected.(i)) then
-                    Some
-                      (Printf.sprintf "port %S bit %d: expected %c, got %c"
-                         port i
-                         (Logic.to_char expected.(i))
-                         (Logic.to_char got))
-                  else scan (i + 1)
-              in
-              scan 0)
-            output_map
-        in
-        failwith
-          (Printf.sprintf
-             "Campaign %s: fault-free DUT disagrees with golden device at \
-              cycle %d (%s)"
-             name c
-             (Option.value detail ~default:"no differing bit re-found"))
-  in
   let total = Array.length faults in
   let dummy =
     { bit = -1; outcome = Silent; effect = Classify.Other_effect;
@@ -515,9 +784,9 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
     if not batched then Array.init total (fun i -> Single i)
     else
       Tmr_obs.Trace.with_span "batch_plan" (fun () ->
-          let pex = new_extract () in
+          let pex = fresh_extract h in
           let pws = Fsim.make_workspace dev in
-          let _psim = Fsim.build ~ws:pws pex ~watch_outputs in
+          let _psim = Fsim.build ~ws:pws pex ~watch_outputs:h.h_watch in
           let pcone = Fsim.snapshot_cone pws in
           let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
           let order = ref [] in
@@ -577,169 +846,29 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
   (* running wrong-answer count for the live progress line; display-only,
      so a moment of slack against [completed] is fine *)
   let wrong_live = Atomic.make 0 in
-  let stats_per_worker = Array.make workers no_stats in
-  (* per-worker injection and setup time; each cell is written by its
-     owner only, and Domain.join publishes it to the caller *)
+  (* publish one verdict: result slot, live counters, CI monitor *)
+  let store i r =
+    results.(i) <- r;
+    let is_wrong = r.outcome = Wrong_answer in
+    if is_wrong then ignore (Atomic.fetch_and_add wrong_live 1);
+    ignore (Atomic.fetch_and_add faults_done 1);
+    Option.iter (fun m -> monitor_note m i is_wrong) monitor
+  in
+  (* per-worker simulator state, injection and setup time; each cell is
+     written by its owner only, and Domain.join publishes it to the
+     caller *)
+  let states = Array.make workers None in
   let busy_ns = Array.make workers 0 in
   let setup_ns = Array.make workers 0 in
   let worker wid =
     let t_setup = Tmr_obs.Clock.now_ns () in
-    (* worker-local simulator state: own bitstream copy, own extract, own
-       workspace, plus the golden cone snapshot for the fast paths *)
-    let ex = new_extract () in
-    let ws = Fsim.make_workspace dev in
-    let scratch = Fsim.make_scratch () in
-    let base = Fsim.build ~ws ex ~watch_outputs in
-    let cone = Fsim.snapshot_cone ws in
-    let base_io = resolve_io base in
-    if wid = 0 then check_baseline base base_io;
-    (* the fault-free tape every differential fault replays against *)
-    let tape = record_tape base base_io in
-    (* separate diff scratches per plan path: patch faults run on [base]
-       whose successor CSR is then cached across the whole campaign,
-       instead of being evicted by every interleaved reroute *)
-    let dsc_patch = Fsim.make_dscratch () in
-    let dsc_reroute = Fsim.make_dscratch () in
-    let base_watch =
-      Array.concat (List.map fst base_io.io_outs @ base_io.io_dets)
-    in
-    (* voter bels of the golden cone as simulation nodes, for the
-       masked-at-voter verdict *)
-    let voter_nodes =
-      match fattr with
-      | None -> Bytes.empty
-      | Some a ->
-          let nb = Bytes.make (Fsim.num_nodes base) '\000' in
-          Array.iteri
-            (fun bel isv ->
-              if isv then begin
-                let n = Fsim.cone_node_of_bel cone bel in
-                if n >= 0 && n < Bytes.length nb then Bytes.set nb n '\001'
-              end)
-            a.Forensics.bel_voter;
-          nb
-    in
-    let bump f = stats_per_worker.(wid) <- f stats_per_worker.(wid) in
-    let note_converge cv =
-      if cv >= 0 then begin
-        bump (fun s -> { s with converged = s.converged + 1 });
-        Tmr_obs.Metrics.observe m_converge cv
-      end
-    in
-    (* The forensic record: structural attribution on every plan path;
-       divergence fields from the diff scratch when the fault ran
-       differentially.  [masked_at_voter]: the fault corrupted cone
-       state yet stayed silent, and some voter in its fanout cone never
-       left the baseline — the corruption was out-voted (as opposed to
-       logically masked before reaching any voter). *)
-    let forensic_of bit error_cycle dsc_opt =
-      match fattr with
-      | None -> None
-      | Some a ->
-          let f = Forensics.structural a bit in
-          let f =
-            match dsc_opt with
-            | None -> f
-            | Some dsc ->
-                let d = Fsim.diff_forensics dsc in
-                if not d.Fsim.df_collected then f
-                else begin
-                  let masked =
-                    error_cycle < 0
-                    && d.Fsim.df_diverged > 0
-                    && Array.exists
-                         (fun n ->
-                           n < Bytes.length voter_nodes
-                           && Bytes.get voter_nodes n <> '\000'
-                           && not (Fsim.diff_node_diverged dsc n))
-                         (Fsim.diff_cone dsc)
-                  in
-                  {
-                    f with
-                    Forensics.masked_at_voter = masked;
-                    diverged = d.Fsim.df_diverged;
-                    first_diverged_node = d.Fsim.df_first_node;
-                    diverge_cycle = d.Fsim.df_first_cycle;
-                    depth = d.Fsim.df_depth;
-                    cone_nodes = d.Fsim.df_cone;
-                  }
-                end
-          in
-          Some f
-    in
-    let finish ?dsc ?(detect = -1) bit error_cycle =
-      if error_cycle >= 0 then Tmr_obs.Metrics.observe m_first_error error_cycle;
-      {
-        bit;
-        outcome = (if error_cycle >= 0 then Wrong_answer else Silent);
-        effect = Classify.classify impl bit;
-        first_error_cycle = error_cycle;
-        detect_cycle = detect;
-        forensics = forensic_of bit error_cycle dsc;
-      }
-    in
-    (* returns the result and the path the engine actually took (a failed
-       reroute executes as a rebuild and is reported as one) *)
-    let inject bit =
-      let plan =
-        if cone_skip then Fsim.plan_fault cone ex bit else Fsim.Path_rebuild
-      in
-      match plan with
-      | Fsim.Path_silent ->
-          bump (fun s -> { s with skipped = s.skipped + 1 });
-          (finish bit (-1), Fsim.Path_silent)
-      | Fsim.Path_diff -> assert false (* never planned *)
-      | Fsim.Path_patch ->
-          bump (fun s -> { s with patched = s.patched + 1 });
-          Extract.apply_bit_flip ex bit;
-          Fun.protect
-            ~finally:(fun () -> Extract.apply_bit_flip ex bit)
-            (fun () ->
-              bump (fun s -> { s with diffed = s.diffed + 1 });
-              let seed = Fsim.patch_node cone ex bit in
-              let err, cv, det =
-                Fsim.with_patch cone base ex bit (fun sim ->
-                    Fsim.diff_run ~ndetect ~forensics ~scratch:dsc_patch ~tape
-                      ~base ~sim ~seeds:(Fsim.Seed_node seed) ~watch:base_watch
-                      ~base_watch ~expected:expected_flat ())
-              in
-              note_converge cv;
-              (finish ~dsc:dsc_patch ~detect:det bit err, Fsim.Path_diff))
-      | Fsim.Path_reroute | Fsim.Path_rebuild ->
-          Extract.apply_bit_flip ex bit;
-          Fun.protect
-            ~finally:(fun () -> Extract.apply_bit_flip ex bit)
-            (fun () ->
-              let sim =
-                match plan with
-                | Fsim.Path_reroute -> Fsim.reroute ~scratch cone base ex bit
-                | _ -> None
-              in
-              match sim with
-              | Some sim ->
-                  bump (fun s ->
-                      { s with rerouted = s.rerouted + 1; diffed = s.diffed + 1 });
-                  let watch =
-                    if Fsim.same_io base sim then base_watch
-                    else Fsim.watch_nodes sim watch_outputs
-                  in
-                  let err, cv, det =
-                    Fsim.diff_run ~ndetect ~forensics ~scratch:dsc_reroute ~tape
-                      ~base ~sim ~seeds:Fsim.Seed_derived ~watch ~base_watch
-                      ~expected:expected_flat ()
-                  in
-                  note_converge cv;
-                  (finish ~dsc:dsc_reroute ~detect:det bit err, Fsim.Path_diff)
-              | None ->
-                  bump (fun s -> { s with rebuilt = s.rebuilt + 1 });
-                  let sim = Fsim.build ~ws ex ~watch_outputs in
-                  let err, det = run_dut sim (resolve_io sim) in
-                  (finish ~detect:det bit err, Fsim.Path_rebuild))
-    in
+    let w = make_worker ~check:(wid = 0) ~cone_skip ~fattr h in
+    states.(wid) <- Some w;
+    let ex = w.w_ex and cone = w.w_cone and base = w.w_base in
     let do_fault i =
       let bit = faults.(i) in
       let t0 = Tmr_obs.Clock.now_ns () in
-      let r, path = inject bit in
+      let r, path = inject w bit in
       let dt = Tmr_obs.Clock.now_ns () - t0 in
       busy_ns.(wid) <- busy_ns.(wid) + dt;
       Tmr_obs.Metrics.observe (fault_hist path) dt;
@@ -748,11 +877,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
           ~args:
             [ ("bit", string_of_int bit); ("path", Fsim.path_name path) ]
           ~name:"fault" ~start_ns:t0 ~dur_ns:dt ();
-      results.(i) <- r;
-      let is_wrong = r.outcome = Wrong_answer in
-      if is_wrong then ignore (Atomic.fetch_and_add wrong_live 1);
-      ignore (Atomic.fetch_and_add faults_done 1);
-      Option.iter (fun m -> monitor_note m i is_wrong) monitor
+      store i r
     in
     let batcher = if batched then Some (Fsim_batch.create base cone) else None in
     (* One batch: derive each lane's structural overlay against the base
@@ -781,8 +906,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
                       match plan with
                       | Fsim.Path_patch -> Some (Fsim.patch_delta cone ex bit)
                       | _ ->
-                          Fsim.fault_delta ~scratch cone base ex bit ~succ_off
-                            ~succ ~bel_of
+                          Fsim.fault_delta ~scratch:w.w_scratch cone base ex bit
+                            ~succ_off ~succ ~bel_of
                     in
                     match d with
                     | Some d -> deltas.(j) <- Some (plan, d)
@@ -799,8 +924,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
           let verdicts =
             if Array.length lanes = 0 then None
             else
-              Fsim_batch.run bt ~ndetect ~tape ~expected:expected_flat
-                ~watch:base_watch ~lanes ()
+              Fsim_batch.run bt ~ndetect ~tape:w.w_tape ~expected:h.h_expected
+                ~watch:w.w_base_watch ~lanes ()
           in
           (match verdicts with
           | Some vs ->
@@ -838,7 +963,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
                   | Some v ->
                       let i = idxs.(j) in
                       let plan, _ = Option.get deltas.(j) in
-                      bump (fun s ->
+                      bump w (fun s ->
                           let s =
                             match plan with
                             | Fsim.Path_patch ->
@@ -850,7 +975,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
                             diffed = s.diffed + 1;
                             batched = s.batched + 1;
                           });
-                      note_converge v.Fsim_batch.bv_converge_cycle;
+                      note_converge w v.Fsim_batch.bv_converge_cycle;
                       Tmr_obs.Metrics.observe m_fault_batch per;
                       if Tmr_obs.Trace.enabled () then begin
                         Tmr_obs.Trace.emit_complete
@@ -864,14 +989,9 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
                           ~dur_ns:per ();
                         incr ks
                       end;
-                      let r =
-                        finish ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
-                          v.Fsim_batch.bv_error_cycle
-                      in
-                      results.(i) <- r;
-                      if r.outcome = Wrong_answer then
-                        ignore (Atomic.fetch_and_add wrong_live 1);
-                      ignore (Atomic.fetch_and_add faults_done 1))
+                      store i
+                        (finish w ~detect:v.Fsim_batch.bv_detect_cycle
+                           faults.(i) v.Fsim_batch.bv_error_cycle))
                 lane_js;
               for j = 0 to n - 1 do
                 if deltas.(j) = None then begin
@@ -945,7 +1065,11 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
        float_of_int (busy_total + setup_total)
        /. (float_of_int workers *. float_of_int wall_ns)
      else 0.0);
-  let stats = Array.fold_left add_stats no_stats stats_per_worker in
+  let stats =
+    Array.fold_left
+      (fun acc -> function Some w -> add_stats acc w.w_stats | None -> acc)
+      no_stats states
+  in
   (* CI stop: keep exactly the prefix that triggered the rule.  Chunks in
      flight at the stop may have completed faults past the index (that
      work shows in [stats]/[busy_ns]), but the kept results are the
@@ -971,14 +1095,9 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
      measured from the fault's first recorded internal divergence (the
      forensic provenance) when available, else from injection. *)
   if ndetect > 0 then begin
-    let n_sc = ref 0 and n_dc = ref 0 and n_dw = ref 0 and n_sw = ref 0 in
+    let d = count_verdicts results in
     Array.iter
       (fun r ->
-        (match verdict_of r with
-        | Silent_correct -> incr n_sc
-        | Detected_corrected -> incr n_dc
-        | Detected_wrong -> incr n_dw
-        | Silent_wrong -> incr n_sw);
         if r.detect_cycle >= 0 then begin
           let from =
             match r.forensics with
@@ -989,22 +1108,23 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
           Tmr_obs.Metrics.observe m_det_latency (r.detect_cycle - from)
         end)
       results;
-    Tmr_obs.Metrics.incr ~by:!n_sc m_det_silent_correct;
-    Tmr_obs.Metrics.incr ~by:!n_dc m_det_corrected;
-    Tmr_obs.Metrics.incr ~by:!n_dw m_det_wrong;
-    Tmr_obs.Metrics.incr ~by:!n_sw m_det_silent_wrong;
+    Tmr_obs.Metrics.incr ~by:d.dc_silent_correct m_det_silent_correct;
+    Tmr_obs.Metrics.incr ~by:d.dc_detected_corrected m_det_corrected;
+    Tmr_obs.Metrics.incr ~by:d.dc_detected_wrong m_det_wrong;
+    Tmr_obs.Metrics.incr ~by:d.dc_silent_wrong m_det_silent_wrong;
     Tmr_obs.Metrics.set m_sdc_rate
-      (if effective > 0 then float_of_int !n_sw /. float_of_int effective
+      (if effective > 0 then
+         float_of_int d.dc_silent_wrong /. float_of_int effective
        else 0.0);
     if emit_events then
       Tmr_obs.Events.publish
         (Tmr_obs.Events.Campaign_detection
            {
              design = name;
-             silent_correct = !n_sc;
-             detected_corrected = !n_dc;
-             detected_wrong = !n_dw;
-             silent_wrong = !n_sw;
+             silent_correct = d.dc_silent_correct;
+             detected_corrected = d.dc_detected_corrected;
+             detected_wrong = d.dc_detected_wrong;
+             silent_wrong = d.dc_silent_wrong;
            })
   end;
   if emit_events then begin
@@ -1065,33 +1185,15 @@ let wrong_percent t =
 let ci ?confidence t =
   Tmr_obs.Stats.wilson ?confidence ~n:t.injected ~k:t.wrong ()
 
+let wrong_by_effect t eff =
+  Array.fold_left
+    (fun acc r -> if r.effect = eff && r.outcome = Wrong_answer then acc + 1 else acc)
+    0 t.results
+
 (* ------------------------------------------------------------------ *)
 (* Detection taxonomy aggregation. *)
 
-type detection_counts = {
-  dc_silent_correct : int;
-  dc_detected_corrected : int;
-  dc_detected_wrong : int;
-  dc_silent_wrong : int;
-}
-
-let detection_counts t =
-  Array.fold_left
-    (fun acc r ->
-      match verdict_of r with
-      | Silent_correct -> { acc with dc_silent_correct = acc.dc_silent_correct + 1 }
-      | Detected_corrected ->
-          { acc with dc_detected_corrected = acc.dc_detected_corrected + 1 }
-      | Detected_wrong ->
-          { acc with dc_detected_wrong = acc.dc_detected_wrong + 1 }
-      | Silent_wrong -> { acc with dc_silent_wrong = acc.dc_silent_wrong + 1 })
-    {
-      dc_silent_correct = 0;
-      dc_detected_corrected = 0;
-      dc_detected_wrong = 0;
-      dc_silent_wrong = 0;
-    }
-    t.results
+let detection_counts t = count_verdicts t.results
 
 let sdc_percent t =
   if t.injected = 0 then 0.0
@@ -1169,14 +1271,15 @@ let forensic_summary t =
 (* ------------------------------------------------------------------ *)
 (* Machine-readable engine summary (tmrtool inject --json). *)
 
-let summary_json t =
+let summary_json ?(confidence = 0.95) t =
   let b = Buffer.create 512 in
-  let i = ci t in
+  let i = ci ~confidence t in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"design\":\"%s\",\"requested\":%d,\"injected\":%d,\"wrong\":%d,\"wrong_percent\":%.4f,\"ci\":{\"confidence\":0.95,\"lo\":%.6f,\"hi\":%.6f},\"workers\":%d,\"wall_ns\":%d,\"utilization\":%.4f,\"inject_utilization\":%.4f"
+       "{\"design\":\"%s\",\"requested\":%d,\"injected\":%d,\"wrong\":%d,\"wrong_percent\":%.4f,\"ci\":{\"confidence\":%g,\"lo\":%.6f,\"hi\":%.6f},\"workers\":%d,\"wall_ns\":%d,\"utilization\":%.4f,\"inject_utilization\":%.4f"
        (Tmr_obs.Jsonl.escape t.design)
-       t.requested t.injected t.wrong (wrong_percent t) i.Tmr_obs.Stats.lo
+       t.requested t.injected t.wrong (wrong_percent t) confidence
+       i.Tmr_obs.Stats.lo
        i.Tmr_obs.Stats.hi t.workers t.wall_ns (utilization t)
        (inject_utilization t));
   Buffer.add_string b
@@ -1188,12 +1291,7 @@ let summary_json t =
   Buffer.add_string b ",\"wrong_by_effect\":{";
   List.iteri
     (fun i e ->
-      let n =
-        Array.fold_left
-          (fun acc r ->
-            if r.effect = e && r.outcome = Wrong_answer then acc + 1 else acc)
-          0 t.results
-      in
+      let n = wrong_by_effect t e in
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf "\"%s\":%d" (Tmr_obs.Jsonl.escape (Classify.name e)) n))

@@ -143,11 +143,8 @@ val inject_utilization : t -> float
 val default_workers : unit -> int
 (** [Domain.recommended_domain_count () - 1], at least 1. *)
 
-val dut_input_wires : Tmr_pnr.Impl.t -> string -> int array list
-(** Physical PadIn wires for a base input port: one wire set on an
-    unprotected design, three (one per redundancy domain) on a TMR one. *)
-
 val dut_output_wires : Tmr_pnr.Impl.t -> string -> int array
+(** Physical PadOut wires of an output port of the implemented design. *)
 
 val golden_outputs :
   Tmr_netlist.Netlist.t ->
@@ -211,6 +208,72 @@ val run :
     device (an implementation-flow bug, not a fault); the message names
     the first disagreeing port, bit and expected/actual values. *)
 
+(** {1 Single faults}
+
+    A campaign measures every fault against one per-design {!harness}
+    and runs every scalar fault through one dispatch.  Tools that look
+    at one fault at a time ([tmrtool explain], {!Scrub}) use the same
+    two, so they reach the verdict a campaign would. *)
+
+type harness
+(** The golden reference, the DUT's physical IO map (detection-flag
+    ports included), the flattened expectation matrix and the
+    fault-free extract. *)
+
+val harness :
+  name:string ->
+  impl:Tmr_pnr.Impl.t ->
+  golden:Tmr_netlist.Netlist.t ->
+  stimulus:stimulus ->
+  harness
+(** The harness {!run} builds.  [Invalid_argument] on a short stimulus
+    or a port the DUT lacks. *)
+
+val golden_reference : harness -> (string * Tmr_logic.Logic.t array array) list
+(** {!golden_outputs} of the golden netlist, per output port. *)
+
+val detect_ports : harness -> string list
+(** The DUT's detection-flag output ports; [[]] without a detecting voter. *)
+
+val fresh_extract : harness -> Tmr_fabric.Extract.t
+(** A private copy of the fault-free extract, to flip bits in. *)
+
+type observation = {
+  ob_cycle : int;
+  ob_outputs : Tmr_logic.Logic.t array list;  (** per {!golden_reference} port *)
+  ob_flags : Tmr_logic.Logic.t array list;  (** per {!detect_ports} port *)
+}
+
+val replay :
+  ?observe:(observation -> unit) ->
+  harness ->
+  Tmr_fabric.Extract.t ->
+  int * int * (string * int * Tmr_logic.Logic.t * Tmr_logic.Logic.t) option
+(** The rebuild oracle: build the simulator the (possibly flipped)
+    extract implements, replay the stimulus from reset, and return
+    [(first_error_cycle, detect_cycle, mismatch)] as {!run}'s rebuild
+    path computes them ([-1] = never); [mismatch] is the first
+    disagreeing [(port, bit, expected, got)].  [observe] sees every
+    settled cycle (the replay then runs to the end).  One domain at a
+    time per harness. *)
+
+type trace = {
+  tr_result : fault_result;  (** with its {!Forensics.t} record *)
+  tr_plan : Tmr_fabric.Fsim.fault_path;  (** the planned path *)
+  tr_converge : int;  (** cycle the faulty state rejoined the baseline *)
+  tr_cone : int;  (** differential fanout-cone nodes *)
+  tr_seeds : int;  (** its seed nodes *)
+  tr_frontier : int;  (** its frontier nodes *)
+  tr_first_bel : int;  (** device bel of the first diverging node *)
+}
+(** The [tr_*] counters are [-1] when the fault did not run on the
+    differential engine (or had no such cycle or bel). *)
+
+val trace_fault : attrib:Forensics.attrib -> harness -> int -> trace
+(** One bit through exactly the code a [~forensics:true] campaign
+    worker runs (baseline check, tape, plan, scalar dispatch): its
+    verdict and record are the ones the bit gets in such a campaign. *)
+
 val active_campaigns : unit -> int
 (** Campaigns currently inside {!run} in this process — the liveness
     probe behind the exposition server's [/healthz] endpoint. *)
@@ -219,6 +282,9 @@ val wrong_percent : t -> float
 
 val ci : ?confidence:float -> t -> Tmr_obs.Stats.interval
 (** Wilson CI (default 95 %) on the campaign's wrong-answer rate. *)
+
+val wrong_by_effect : t -> Classify.effect -> int
+(** Wrong answers whose fault has the given structural effect class. *)
 
 (** {1 Detection taxonomy} *)
 
@@ -258,8 +324,9 @@ val forensic_summary : t -> forensic_summary option
 (** Aggregate over the campaign's forensic records; [None] when the
     campaign ran without forensics. *)
 
-val summary_json : t -> string
+val summary_json : ?confidence:float -> t -> string
 (** One-line JSON engine summary: requested/injected/wrong/wrong_percent
-    with its 95 % Wilson CI, worker utilization, plan-path breakdown,
+    with its Wilson CI at [confidence] (default 0.95, echoed in the
+    object), worker utilization, plan-path breakdown,
     wrong answers per effect class, the four-way detection verdict split
     and the forensic aggregate (or [null]) — [tmrtool inject --json]. *)

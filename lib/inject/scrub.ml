@@ -1,10 +1,5 @@
-module Logic = Tmr_logic.Logic
 module Srand = Tmr_logic.Srand
-module Netlist = Tmr_netlist.Netlist
-module Bitstream = Tmr_arch.Bitstream
-module Impl = Tmr_pnr.Impl
 module Extract = Tmr_fabric.Extract
-module Fsim = Tmr_fabric.Fsim
 
 type result = {
   trials : int;
@@ -16,63 +11,13 @@ type result = {
 
 let accumulate ?(trials = 20) ?(cap = 60) ~seed ~impl ~golden ~stimulus
     ~faultlist () =
-  let golden_ref = Campaign.golden_outputs golden stimulus in
-  let input_map =
-    List.map
-      (fun (port, samples) -> (Campaign.dut_input_wires impl port, samples))
-      stimulus.Campaign.inputs
-  in
-  let output_map =
-    List.map
-      (fun (port, matrix) -> (Campaign.dut_output_wires impl port, matrix))
-      golden_ref
-  in
-  let watch_outputs =
-    Array.concat (List.map (fun (wires, _) -> wires) output_map)
-  in
-  let ws = Fsim.make_workspace impl.Impl.dev in
+  let h = Campaign.harness ~name:"scrub" ~impl ~golden ~stimulus in
   let rng = Srand.create (seed * 131 + 7) in
   let bits = faultlist.Faultlist.bits in
-  let run_dut ex =
-    let sim = Fsim.build ~ws ex ~watch_outputs in
-    Fsim.reset sim;
-    let failed = ref false in
-    let cycle = ref 0 in
-    while (not !failed) && !cycle < stimulus.Campaign.cycles do
-      let c = !cycle in
-      List.iter
-        (fun (wire_sets, samples) ->
-          let v = samples.(c) in
-          List.iter
-            (fun wires ->
-              Array.iteri
-                (fun i w ->
-                  Fsim.set_pad sim w (Logic.of_bool ((v asr i) land 1 = 1)))
-                wires)
-            wire_sets)
-        input_map;
-      Fsim.eval sim;
-      List.iter
-        (fun (wires, matrix) ->
-          let expected = matrix.(c) in
-          Array.iteri
-            (fun i w ->
-              if not (Logic.equal (Fsim.read sim w) expected.(i)) then
-                failed := true)
-            wires)
-        output_map;
-      Fsim.clock sim;
-      incr cycle
-    done;
-    !failed
-  in
   let upsets_to_failure =
     Array.init trials (fun _ ->
         (* a fresh (scrubbed) configuration for every trial *)
-        let ex =
-          Extract.create impl.Impl.dev impl.Impl.db
-            (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
-        in
+        let ex = Campaign.fresh_extract h in
         let injected = Hashtbl.create 64 in
         let rec inject k =
           if k > cap then cap + 1
@@ -82,7 +27,8 @@ let accumulate ?(trials = 20) ?(cap = 60) ~seed ~impl ~golden ~stimulus
             else begin
               Hashtbl.add injected bit ();
               Extract.apply_bit_flip ex bit;
-              if run_dut ex then k else inject (k + 1)
+              let err, _, _ = Campaign.replay h ex in
+              if err >= 0 then k else inject (k + 1)
             end
           end
         in

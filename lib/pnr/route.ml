@@ -334,9 +334,6 @@ let run ?(max_iters = 60) dev pack place =
                  })
         end
         else begin
-          if Sys.getenv_opt "TMR_ROUTE_DEBUG" <> None then
-            Printf.eprintf "DEBUG iter=%d over=%d pres=%.3g\n%!" !iter !over
-              !pres_fac;
           pres_fac := !pres_fac *. 1.7;
           if !iter = max_iters - 1 then begin
             let examples = ref [] in
@@ -346,28 +343,6 @@ let run ?(max_iters = 60) dev pack place =
                   Printf.sprintf "%s(occ=%d)" (Device.describe_wire dev w) occ.(w)
                   :: !examples
             done;
-            if Sys.getenv_opt "TMR_ROUTE_DEBUG" <> None then
-              for w = 0 to nwires - 1 do
-                if overused w then
-                  Array.iteri
-                    (fun ni wires ->
-                      if Array.exists (fun x -> x = w) wires then begin
-                        Printf.eprintf "DEBUG overused %s used by net %d (src %s)\n%!"
-                          (Device.describe_wire dev w) ni
-                          (Device.describe_wire dev srcs.(ni));
-                        Array.iter
-                          (fun tw ->
-                            Printf.eprintf "   tree: %s occ=%d\n%!"
-                              (Device.describe_wire dev tw) occ.(tw))
-                          wires;
-                        Array.iter
-                          (fun sk ->
-                            Printf.eprintf "   sink: %s\n%!"
-                              (Device.describe_wire dev sk))
-                          sinks.(ni)
-                      end)
-                    net_wires
-              done;
             result :=
               Some
                 (Error

@@ -268,6 +268,146 @@ let test_forensic_records_tmr () =
     (tmr.Campaign.wrong + std.Campaign.wrong)
     (after - before)
 
+(* --- the single-fault path: Campaign.trace_fault runs one bit through
+   the campaign worker's own dispatch, so it reaches the rebuild
+   oracle's verdict and the record a forensic campaign gives the bit --- *)
+
+module Fsim = Tmr_fabric.Fsim
+module Extract = Tmr_fabric.Extract
+module Voter = Tmr_core.Voter
+
+(* The first and the last bit of [bits] on one execution path, found with
+   the engine's own planner on a golden simulator watching the pads the
+   harness watches: "silent", "patch", "rebuild", "reroute" (runs
+   differentially) or "reroute-fallback" (the reroute fails and the
+   fault is rebuilt). *)
+let bits_on_path impl golden stimulus =
+  let ports =
+    List.map fst (Campaign.golden_outputs golden stimulus)
+    @ List.filter
+        (fun p ->
+          List.mem_assoc p (Tmr_netlist.Netlist.output_ports impl.Impl.mapped))
+        Voter.detect_ports
+  in
+  let watch_outputs =
+    Array.concat (List.map (Campaign.dut_output_wires impl) ports)
+  in
+  let ex =
+    Extract.create impl.Impl.dev impl.Impl.db
+      (Tmr_arch.Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
+  in
+  let ws = Fsim.make_workspace impl.Impl.dev in
+  let base = Fsim.build ~ws ex ~watch_outputs in
+  let cone = Fsim.snapshot_cone ws in
+  let scratch = Fsim.make_scratch () in
+  let on_path k bit =
+    match (Fsim.plan_fault cone ex bit, k) with
+    | Fsim.Path_reroute, ("reroute" | "reroute-fallback") ->
+        Extract.apply_bit_flip ex bit;
+        let ok = Fsim.reroute ~scratch cone base ex bit <> None in
+        Extract.apply_bit_flip ex bit;
+        ok = (k = "reroute")
+    | p, _ -> Fsim.path_name p = k
+  in
+  fun k bits ->
+    let n = Array.length bits in
+    let rec scan i step =
+      if i < 0 || i >= n then []
+      else if on_path k bits.(i) then [ bits.(i) ]
+      else scan (i + step) step
+    in
+    List.sort_uniq compare (scan 0 1 @ scan (n - 1) (-1))
+
+let test_trace_fault_is_the_campaign_path () =
+  let ctx =
+    Context.create ~scale:Context.Reduced ~seed:1 ~faults_per_design:0 ()
+  in
+  let golden = ctx.Context.golden_nl and stimulus = ctx.Context.stimulus in
+  List.iter
+    (fun voter ->
+      let run = Runs.implement_design ~voter ctx Partition.Medium_partition in
+      let impl = run.Runs.impl in
+      let name = "tmr_p2/" ^ Voter.name voter in
+      let fl = run.Runs.faultlist.Faultlist.bits in
+      let on_path = bits_on_path impl golden stimulus in
+      let outside =
+        let rec find b = if Array.mem b fl then find (b + 1) else b in
+        find 0
+      in
+      let paths = [ "silent"; "patch"; "reroute"; "reroute-fallback"; "rebuild" ] in
+      let path_cases =
+        List.concat_map (fun k -> List.map (fun b -> (k, b)) (on_path k fl)) paths
+        @ [ ("outside", outside) ]
+      in
+      List.iter
+        (fun k ->
+          if not (List.mem_assoc k path_cases) then
+            Alcotest.failf "%s: no %s bit to trace" name k)
+        [ "silent"; "patch"; "reroute"; "reroute-fallback" ];
+      (* a sampled forensic campaign over the path bits too; its first
+         wrong answer and first detected fault join the traced bits *)
+      let sample = Faultlist.sample run.Runs.faultlist ~seed:3 ~count:100 in
+      let faults = Array.append (Array.of_list (List.map snd path_cases)) sample in
+      let camp =
+        Campaign.run ~workers:2 ~forensics:true ~name ~impl ~golden ~stimulus
+          ~faults ()
+      in
+      let first label p =
+        let rec go i =
+          if i >= Array.length faults then []
+          else if p camp.Campaign.results.(i) then [ (label, i) ]
+          else go (i + 1)
+        in
+        go (List.length path_cases)
+      in
+      let cases =
+        List.mapi (fun i (k, _) -> (k, i)) path_cases
+        @ first "wrong" (fun r -> r.Campaign.outcome = Campaign.Wrong_answer)
+        @ first "detected" (fun r -> r.Campaign.detect_cycle >= 0)
+      in
+      Alcotest.(check bool) (name ^ ": a wrong answer is traced") true
+        (List.mem_assoc "wrong" cases);
+      let h = Campaign.harness ~name ~impl ~golden ~stimulus in
+      let attrib = Forensics.attrib_of_impl impl in
+      let oracle =
+        Campaign.run ~workers:1 ~cone_skip:false ~name ~impl ~golden ~stimulus
+          ~faults:(Array.of_list (List.map (fun (_, i) -> faults.(i)) cases))
+          ()
+      in
+      List.iteri
+        (fun j (k, i) ->
+          let b = faults.(i) in
+          let tr = Campaign.trace_fault ~attrib h b in
+          let r = tr.Campaign.tr_result and o = oracle.Campaign.results.(j) in
+          let label = Printf.sprintf "%s bit %d (%s)" name b k in
+          (* the trace took the planned path *)
+          if List.mem k paths then begin
+            Alcotest.(check string) (label ^ ": plan")
+              (if k = "reroute-fallback" then "reroute" else k)
+              (Fsim.path_name tr.Campaign.tr_plan);
+            Alcotest.(check bool) (label ^ ": ran differentially")
+              (k = "patch" || k = "reroute")
+              (tr.Campaign.tr_cone >= 0)
+          end;
+          (* its verdict is the rebuild oracle's, and the replay's *)
+          Alcotest.(check bool) (label ^ ": outcome") true
+            (r.Campaign.outcome = o.Campaign.outcome);
+          Alcotest.(check int) (label ^ ": first error cycle")
+            o.Campaign.first_error_cycle r.Campaign.first_error_cycle;
+          Alcotest.(check int) (label ^ ": detect cycle") o.Campaign.detect_cycle
+            r.Campaign.detect_cycle;
+          let ex = Campaign.fresh_extract h in
+          Extract.apply_bit_flip ex b;
+          let err, det, _ = Campaign.replay h ex in
+          Alcotest.(check (pair int int)) (label ^ ": replay verdict")
+            (o.Campaign.first_error_cycle, o.Campaign.detect_cycle) (err, det);
+          (* its result and record are the ones the campaign gave it *)
+          Alcotest.(check bool) (label ^ ": result and record as in the campaign")
+            true
+            (r = camp.Campaign.results.(i)))
+        cases)
+    [ Voter.Majority; Voter.Detecting ]
+
 (* --- JSONL sink --- *)
 
 let read_lines path =
@@ -353,6 +493,8 @@ let () =
             `Slow test_forensics_bit_identical_campaigns;
           Alcotest.test_case "TMR forensic records and summary" `Slow
             test_forensic_records_tmr;
+          Alcotest.test_case "trace_fault is the campaign's single-fault path"
+            `Slow test_trace_fault_is_the_campaign_path;
         ] );
       ( "jsonl",
         [ Alcotest.test_case "stream per fault" `Quick test_jsonl_emission ] );

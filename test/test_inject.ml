@@ -217,6 +217,36 @@ let test_campaign_rejects_missing_port () =
        false
      with Invalid_argument _ -> true)
 
+(* --json reports the CI at the requested confidence, not always 95 % *)
+let test_summary_json_confidence () =
+  let impl = Lazy.force standard_impl in
+  let faults = Faultlist.sample (Faultlist.of_impl impl) ~seed:11 ~count:120 in
+  let c =
+    Campaign.run ~name:"t" ~impl ~golden:(Lazy.force golden_nl)
+      ~stimulus:(stimulus 20) ~faults ()
+  in
+  let ci_of json =
+    let j = Tmr_obs.Json.parse_exn json in
+    let field k =
+      Option.get
+        (Option.bind (Tmr_obs.Json.member "ci" j) (fun ci ->
+             Option.bind (Tmr_obs.Json.member k ci) Tmr_obs.Json.num))
+    in
+    (field "confidence", field "lo", field "hi")
+  in
+  List.iter
+    (fun (json, level) ->
+      let conf, lo, hi = ci_of json in
+      let i = Campaign.ci ~confidence:level c in
+      Alcotest.(check (float 1e-9)) "echoed level" level conf;
+      Alcotest.(check (float 1e-6)) "lower bound" i.Tmr_obs.Stats.lo lo;
+      Alcotest.(check (float 1e-6)) "upper bound" i.Tmr_obs.Stats.hi hi)
+    [
+      (Campaign.summary_json c, 0.95);
+      (Campaign.summary_json ~confidence:0.99 c, 0.99);
+      (Campaign.summary_json ~confidence:0.8 c, 0.8);
+    ]
+
 let test_scrub_accumulation () =
   let stim = stimulus 16 in
   let measure impl =
@@ -280,5 +310,7 @@ let () =
             test_campaign_golden_matches_golden_module;
           Alcotest.test_case "missing port rejected" `Quick
             test_campaign_rejects_missing_port;
+          Alcotest.test_case "--json CI honours the confidence level" `Quick
+            test_summary_json_confidence;
         ] );
     ]
