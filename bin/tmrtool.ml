@@ -507,7 +507,12 @@ let implement_cmd =
     List.iter
       (fun (cls, n) ->
         Printf.printf "  DUT %-13s %d bits\n" (Tmr_arch.Bitdb.class_name cls) n)
-      r.Runs.faultlist.Tmr_inject.Faultlist.by_class
+      r.Runs.faultlist.Tmr_inject.Faultlist.by_class;
+    Printf.printf "  bitstream digest %s\n"
+      (Digest.to_hex
+         (Digest.string
+            (Tmr_arch.Bitstream.to_hex
+               impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)))
   in
   Cmd.v
     (Cmd.info "implement" ~doc:"map, place and route one filter version")

@@ -221,6 +221,49 @@ let test_place_domains_floorplan () =
     place.Place.site_bel;
   Alcotest.(check int) "domain region violations" 0 !violations
 
+(* Bitstream digest and PathFinder iteration count of every paper design at
+   reduced scale, recorded before the router's hot loop was rewritten.  The
+   router must pop its heap in the same order (ties included) and push the
+   same keys, so any change to the routes shows up here. *)
+let pinned_routes =
+  [
+    (1, "standard", 3, "a7d529f9077f12e05cca061bf2ea2227");
+    (1, "tmr_p1", 5, "83ab4db7ad8ee2437f8f4261695c6ef8");
+    (1, "tmr_p2", 4, "9b355247722d70f2a4ca1611489da6fb");
+    (1, "tmr_p3", 5, "af2cad224e7994f5256a4efb5a5d231f");
+    (1, "tmr_p3_nv", 5, "25b379d13f6740837c665d725436baf8");
+    (2, "standard", 3, "fd79428dd4fe727791e39372685e9c80");
+    (2, "tmr_p1", 5, "990a49d4d9eb9d4ebaa77c8ce3da1d1d");
+    (2, "tmr_p2", 5, "92b07366825acdc0e063139e5cda1ac2");
+    (2, "tmr_p3", 4, "40e490d3005c6cd43fda7463acfb7364");
+    (2, "tmr_p3_nv", 4, "143cd78fdb3f7dc457961f2b45970805");
+  ]
+
+let test_route_digests_pinned () =
+  let module Context = Tmr_experiments.Context in
+  let module Runs = Tmr_experiments.Runs in
+  let base = Context.create ~scale:Context.Reduced () in
+  List.iter
+    (fun (seed, name, iters, digest) ->
+      let ctx = { base with Context.seed } in
+      let strategy =
+        List.find
+          (fun s -> Tmr_core.Partition.name s = name)
+          Tmr_core.Partition.all_paper_designs
+      in
+      let impl = (Runs.implement_design ctx strategy).Runs.impl in
+      let what = Printf.sprintf "%s seed %d" name seed in
+      Alcotest.(check int)
+        (what ^ " route iterations")
+        iters impl.Impl.route.Route.iterations;
+      Alcotest.(check string)
+        (what ^ " bitstream digest")
+        digest
+        (Digest.to_hex
+           (Digest.string
+              (Bitstream.to_hex impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream))))
+    pinned_routes
+
 let () =
   Alcotest.run "tmr_pnr"
     [
@@ -243,6 +286,8 @@ let () =
         [
           Alcotest.test_case "no overuse; all sinks connected" `Quick
             test_route_no_overuse_and_connected;
+          Alcotest.test_case "bitstream digests pinned" `Quick
+            test_route_digests_pinned;
         ] );
       ( "impl",
         [
