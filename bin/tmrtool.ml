@@ -482,6 +482,25 @@ let report_cmd =
 
 (* --- implement --- *)
 
+(* "8 (overused 2979→1057→…→0, 12.7M pops, 5% stale)": the PathFinder
+   iteration count, then the overused wires after each iteration and the
+   maze expansion's heap pops, with the share skipped as stale *)
+let route_summary (r : Tmr_pnr.Route.result) =
+  let module Route = Tmr_pnr.Route in
+  let stats = Array.to_list r.Route.iter_stats in
+  let pops = List.fold_left (fun a s -> a + s.Route.pops) 0 stats in
+  let stale = List.fold_left (fun a s -> a + s.Route.stale) 0 stats in
+  let count n =
+    if n >= 1_000_000 then Printf.sprintf "%.1fM" (float_of_int n /. 1e6)
+    else if n >= 1_000 then Printf.sprintf "%.1fk" (float_of_int n /. 1e3)
+    else string_of_int n
+  in
+  Printf.sprintf "%d (overused %s, %s pops, %.0f%% stale)" r.Route.iterations
+    (String.concat "→"
+       (List.map (fun s -> string_of_int s.Route.overused) stats))
+    (count pops)
+    (if pops = 0 then 0.0 else 100.0 *. float_of_int stale /. float_of_int pops)
+
 let implement_cmd =
   let run telem scale seed design voter =
     with_telemetry telem @@ fun () ->
@@ -498,8 +517,7 @@ let implement_cmd =
     Printf.printf "  slices        %d\n" (Impl.used_slices impl);
     Printf.printf "  LUTs          %d\n" (Impl.used_luts impl);
     Printf.printf "  flip-flops    %d\n" (Impl.used_ffs impl);
-    Printf.printf "  route iters   %d\n"
-      impl.Impl.route.Tmr_pnr.Route.iterations;
+    Printf.printf "  route iters   %s\n" (route_summary impl.Impl.route);
     Printf.printf "  est. clock    %.1f MHz (critical %.1f ns, %d LUT levels)\n"
       impl.Impl.timing.Tmr_pnr.Timing.mhz
       impl.Impl.timing.Tmr_pnr.Timing.critical_ns

@@ -44,7 +44,9 @@ let bucket_of v =
 (* --- instruments ----------------------------------------------------- *)
 
 type counter = { c_shards : int Atomic.t array }
-type gauge = { g_cell : float Atomic.t }
+(* [g_set] is false until the first {!set}: a gauge nobody set is absent
+   from snapshots, not 0.0 *)
+type gauge = { g_cell : float Atomic.t; g_set : bool Atomic.t }
 
 type histogram = {
   h_buckets : int Atomic.t array array;  (* shard -> bucket -> count *)
@@ -83,7 +85,10 @@ let counter name =
   | _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a counter" name)
 
 let gauge name =
-  match intern name (fun () -> Gauge { g_cell = Atomic.make 0.0 }) with
+  match
+    intern name (fun () ->
+        Gauge { g_cell = Atomic.make 0.0; g_set = Atomic.make false })
+  with
   | Gauge g -> g
   | _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a gauge" name)
 
@@ -103,7 +108,9 @@ let histogram name =
   | _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a histogram" name)
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_shards.(slot ()) by)
-let set g v = Atomic.set g.g_cell v
+let set g v =
+  Atomic.set g.g_cell v;
+  Atomic.set g.g_set true
 
 (* CAS races only against same-slot recorders (rare: slots are
    per-domain) and converges in one round trip in the common case where
@@ -215,7 +222,9 @@ let snapshot () =
     (fun (name, i) acc ->
       match i with
       | Counter c -> { acc with counters = (name, sum_row c.c_shards) :: acc.counters }
-      | Gauge g -> { acc with gauges = (name, Atomic.get g.g_cell) :: acc.gauges }
+      | Gauge g when Atomic.get g.g_set ->
+          { acc with gauges = (name, Atomic.get g.g_cell) :: acc.gauges }
+      | Gauge _ -> acc
       | Histogram h ->
           { acc with histograms = (name, summarize h) :: acc.histograms })
     items
@@ -230,7 +239,9 @@ let reset () =
         (fun _ i ->
           match i with
           | Counter c -> Array.iter (fun a -> Atomic.set a 0) c.c_shards
-          | Gauge g -> Atomic.set g.g_cell 0.0
+          | Gauge g ->
+              Atomic.set g.g_cell 0.0;
+              Atomic.set g.g_set false
           | Histogram h ->
               Array.iter (fun a -> Atomic.set a 0) h.h_count;
               Array.iter (fun a -> Atomic.set a 0) h.h_sum;

@@ -29,7 +29,9 @@ val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1) to the counter.  Domain-safe, exact. *)
 
 val set : gauge -> float -> unit
-(** Last write wins. *)
+(** Last write wins.  A gauge that was never set is absent from
+    {!snapshot} (and so from the JSON, {!merge} and the Prometheus
+    exposition): "not applicable" is not reported as 0. *)
 
 val observe : histogram -> int -> unit
 (** Record one non-negative sample (conventionally nanoseconds).
@@ -78,7 +80,8 @@ val percentile : histogram -> float -> float
     on the fly).  Mostly for tests; prefer {!snapshot}. *)
 
 val reset : unit -> unit
-(** Zero every registered instrument (instruments stay registered).
+(** Zero every registered instrument and unset every gauge (instruments
+    stay registered).
     For benchmarks that isolate one phase; not domain-safe against
     concurrent recorders. *)
 

@@ -319,6 +319,42 @@ let test_snapshot_json_parses () =
            (Option.bind counters (member "test.json.counter\"quoted\"")))
   | _ -> Alcotest.fail "snapshot JSON is not an object"
 
+(* A gauge nobody set is "not applicable": absent from the snapshot, its
+   JSON (and the parse back), a merge, and the Prometheus exposition —
+   never a plausible-looking 0.0. *)
+let test_unset_gauge_absent () =
+  let unset = "test.gauge.never_set" and set = "test.gauge.set" in
+  let _ = Metrics.gauge unset in
+  Metrics.set (Metrics.gauge set) 0.25;
+  let snap = Metrics.snapshot () in
+  let has name (s : Metrics.snapshot) = List.mem_assoc name s.Metrics.gauges in
+  Alcotest.(check bool) "unset gauge absent from snapshot" false (has unset snap);
+  Alcotest.(check (float 0.0)) "set gauge present" 0.25
+    (List.assoc set snap.Metrics.gauges);
+  (match Metrics.of_json_string (Metrics.to_json_string snap) with
+  | Error e -> Alcotest.fail e
+  | Ok back ->
+      Alcotest.(check bool) "unset gauge absent after JSON round trip" false
+        (has unset back);
+      Alcotest.(check (float 0.0)) "set gauge survives JSON round trip" 0.25
+        (List.assoc set back.Metrics.gauges);
+      let other = { back with Metrics.gauges = [ (unset, 3.0) ] } in
+      let m = Metrics.merge back other in
+      Alcotest.(check (float 0.0)) "merge takes a gauge set on one side" 3.0
+        (List.assoc unset m.Metrics.gauges);
+      Alcotest.(check bool) "merge of two unset sides stays absent" false
+        (has unset (Metrics.merge back back)));
+  let expo = Tmr_obs.Expose.render () in
+  let mentions needle =
+    let n = String.length needle and h = String.length expo in
+    let rec go i = i + n <= h && (String.sub expo i n = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "unset gauge absent from exposition" false
+    (mentions "test_gauge_never_set");
+  Alcotest.(check bool) "set gauge exposed" true
+    (mentions "test_gauge_set 0.25")
+
 (* ------------------------------------------------------------------ *)
 (* Tracing: a traced reduced-scale campaign produces line-by-line valid
    JSONL whose spans nest properly per thread track. *)
@@ -640,6 +676,7 @@ let test_reset () =
   let snap = Metrics.snapshot () in
   Alcotest.(check int) "counter zeroed" 0
     (List.assoc "test.reset.counter" snap.Metrics.counters);
+  Alcotest.(check bool) "gauges unset" true (snap.Metrics.gauges = []);
   let hs = List.assoc "test.reset.hist" snap.Metrics.histograms in
   Alcotest.(check int) "histogram zeroed" 0 hs.Metrics.count;
   Alcotest.(check (float 0.0)) "percentiles zeroed" 0.0 hs.Metrics.p99
@@ -657,6 +694,8 @@ let () =
             test_hist_buckets;
           Alcotest.test_case "snapshot JSON parses" `Quick
             test_snapshot_json_parses;
+          Alcotest.test_case "unset gauge absent everywhere" `Quick
+            test_unset_gauge_absent;
         ] );
       ( "tracing",
         [

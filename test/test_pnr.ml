@@ -153,6 +153,43 @@ let test_route_no_overuse_and_connected () =
             net.Pack.sinks)
         pack.Pack.nets
 
+let test_route_iteration_stats () =
+  let nl = mapped_datapath () in
+  let pack = Pack.run nl in
+  let d = Lazy.force dev in
+  let place = Place.run ~seed:3 d pack nl in
+  match Route.run d pack place with
+  | Error e -> Alcotest.fail e
+  | Ok route ->
+      let stats = route.Route.iter_stats in
+      let n = Array.length stats in
+      Alcotest.(check int) "one entry per iteration" route.Route.iterations n;
+      Alcotest.(check int) "converged: nothing overused at the end" 0
+        stats.(n - 1).Route.overused;
+      Array.iteri
+        (fun i (s : Route.iter_stats) ->
+          Alcotest.(check int)
+            (Printf.sprintf "iteration %d reroutes every net" i)
+            (Array.length pack.Pack.nets) s.Route.rerouted;
+          Alcotest.(check bool)
+            (Printf.sprintf "iteration %d: 0 <= stale <= pops, pops > 0" i)
+            true
+            (s.Route.pops > 0 && s.Route.stale >= 0
+            && s.Route.stale <= s.Route.pops);
+          if i > 0 then begin
+            Alcotest.(check bool)
+              (Printf.sprintf "iteration %d follows an overused one" i)
+              true
+              (stats.(i - 1).Route.overused > 0);
+            Alcotest.(check (float 1e-12))
+              (Printf.sprintf "iteration %d: pres_fac grows by 1.7" i)
+              (stats.(i - 1).Route.pres_fac *. 1.7)
+              s.Route.pres_fac
+          end
+          else
+            Alcotest.(check (float 0.0)) "first pres_fac" 0.6 s.Route.pres_fac)
+        stats
+
 let test_impl_end_to_end () =
   let nl = build_datapath () in
   let impl = Impl.implement_exn ~seed:5 (Lazy.force dev) (Lazy.force db) nl in
@@ -288,6 +325,8 @@ let () =
             test_route_no_overuse_and_connected;
           Alcotest.test_case "bitstream digests pinned" `Quick
             test_route_digests_pinned;
+          Alcotest.test_case "per-iteration telemetry" `Quick
+            test_route_iteration_stats;
         ] );
       ( "impl",
         [

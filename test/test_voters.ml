@@ -196,6 +196,41 @@ let test_majority_reproduces_default () =
         majority_c.Campaign.results)
     Partition.all_paper_designs
 
+(* --- SDC gauge: absent where no detector exists --- *)
+
+(* A majority design has no detection logic, so "silent share of wrong
+   answers" does not apply: campaign.detection.sdc_rate stays unset and is
+   left out of --metrics, instead of reading 0.0 next to a non-zero wrong
+   rate.  A detecting design sets it to its silent-wrong share. *)
+let test_sdc_gauge_only_with_detectors () =
+  let module Metrics = Tmr_obs.Metrics in
+  let ctx =
+    Context.create ~scale:Context.Reduced ~seed:11 ~faults_per_design:60 ()
+  in
+  let sdc_gauge () =
+    List.assoc_opt "campaign.detection.sdc_rate"
+      (Metrics.snapshot ()).Metrics.gauges
+  in
+  let campaign voter =
+    Option.get
+      (Runs.campaign_design ~workers:2 ctx
+         (Runs.implement_design ~voter ctx Partition.Medium_partition))
+        .Runs.campaign
+  in
+  Metrics.reset ();
+  let majority = campaign Voter.Majority in
+  Alcotest.(check bool) "majority run has wrong answers" true
+    (majority.Campaign.wrong > 0);
+  Alcotest.(check (option (float 0.0))) "absent under majority" None
+    (sdc_gauge ());
+  let detecting = campaign Voter.Detecting in
+  let dc = Campaign.detection_counts detecting in
+  Alcotest.(check (option (float 1e-12))) "present under detecting"
+    (Some
+       (float_of_int dc.Campaign.dc_silent_wrong
+       /. float_of_int detecting.Campaign.injected))
+    (sdc_gauge ())
+
 let () =
   Alcotest.run "tmr_voters"
     [
@@ -209,5 +244,7 @@ let () =
             test_detecting_engine_invariance;
           Alcotest.test_case "majority == historical default (5 designs)"
             `Slow test_majority_reproduces_default;
+          Alcotest.test_case "SDC gauge only with detectors" `Quick
+            test_sdc_gauge_only_with_detectors;
         ] );
     ]
