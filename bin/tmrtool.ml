@@ -104,8 +104,17 @@ let voter_t =
            tmr_err_* ports; campaigns classify every fault into the \
            detected-vs-silent verdict taxonomy).")
 
+(* Every command shares one on-disk cache of the device, the bit database
+   and the implementations (README, "Implementation cache"); opened on
+   first use, so commands that implement nothing never touch it. *)
+let cache = lazy (Tmr_experiments.Cache.open_default ())
+
 let mk_ctx scale seed faults =
-  Context.create ~scale ~seed ~faults_per_design:faults ()
+  Context.create ?cache:(Lazy.force cache) ~scale ~seed
+    ~faults_per_design:faults ()
+
+let implement_design ?voter ctx design =
+  Runs.implement_design ?cache:(Lazy.force cache) ?voter ctx design
 
 let forensics_file_t =
   Arg.(
@@ -399,7 +408,10 @@ let store_t =
 
 let report_campaign ~ctx ~confidence ~stop ~store ~out ~heatmap =
   let progress, flush = ci_progress ~confidence () in
-  let runs = Runs.run_all ~progress ?workers:(jobs ()) ?stop_at_ci:stop ctx in
+  let runs =
+    Runs.run_all ?cache:(Lazy.force cache) ~progress ?workers:(jobs ())
+      ?stop_at_ci:stop ctx
+  in
   flush ();
   (* history first: the freshly-saved manifests must not be their own
      baseline *)
@@ -505,7 +517,7 @@ let implement_cmd =
   let run telem scale seed design voter =
     with_telemetry telem @@ fun () ->
     let ctx = mk_ctx scale seed 0 in
-    let r = Runs.implement_design ~voter ctx design in
+    let r = implement_design ~voter ctx design in
     let impl = r.Runs.impl in
     Printf.printf "%s (%s)\n" (Partition.paper_name design)
       (Tmr_filter.Designs.description design);
@@ -652,7 +664,7 @@ let inject_cmd =
       ~voter ~json ~store ~exhaustive ~shards ~procs ~shard_dir ~shard_limit
       ~fresh ~merged_out =
     let ctx = mk_ctx scale seed faults in
-    let r = Runs.implement_design ~voter ctx design in
+    let r = implement_design ~voter ctx design in
     let job =
       Service.job ~scale ~seed ~faults ~exhaustive ?shards
         ?workers:(jobs ()) ~voter design
@@ -767,7 +779,7 @@ let inject_cmd =
         ~fresh ~merged_out
     else begin
       let ctx = mk_ctx scale seed faults in
-      let r = Runs.implement_design ~voter ctx design in
+      let r = implement_design ~voter ctx design in
       let stop = stop_rule_of ~confidence ~stop_min stop_ci in
       let progress, flush = ci_progress ~confidence () in
       let r =
@@ -832,7 +844,7 @@ let explain_cmd =
   let run telem scale seed design voter bit vcd_out =
     with_telemetry telem @@ fun () ->
     let ctx = mk_ctx scale seed 0 in
-    let r = Runs.implement_design ~voter ctx design in
+    let r = implement_design ~voter ctx design in
     let impl = r.Runs.impl in
     let dev = impl.Impl.dev and db = impl.Impl.db in
     if bit < 0 || bit >= Bitdb.num_bits db then begin
@@ -1024,7 +1036,7 @@ let congestion_cmd =
   let run telem scale seed design =
     with_telemetry telem @@ fun () ->
     let ctx = mk_ctx scale seed 0 in
-    let r = Runs.implement_design ctx design in
+    let r = implement_design ctx design in
     let impl = r.Runs.impl in
     let cong =
       Tmr_pnr.Congestion.analyze ctx.Context.dev impl.Impl.route
@@ -1108,7 +1120,7 @@ let tables_cmd =
     let primary = List.hd voters in
     let impls =
       List.map
-        (Runs.implement_design ~voter:primary ctx)
+        (implement_design ~voter:primary ctx)
         Partition.all_paper_designs
     in
     if not json then begin
@@ -1129,7 +1141,7 @@ let tables_cmd =
             (fun strategy ->
               (* a costlier voter can overflow the device on the larger
                  partitionings; the detection table renders those as "-" *)
-              match Runs.implement_design ~voter:v ctx strategy with
+              match implement_design ~voter:v ctx strategy with
               | r -> Some (campaign r)
               | exception Failure msg ->
                   Printf.eprintf "tables: skipping %s with %s voter (%s)\n%!"

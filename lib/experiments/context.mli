@@ -22,6 +22,7 @@ type t = {
 }
 
 val create :
+  ?cache:Cache.t ->
   ?scale:scale ->
   ?seed:int ->
   ?faults_per_design:int ->
@@ -29,4 +30,6 @@ val create :
   unit ->
   t
 (** Defaults: [Paper] scale, seed 1, 2000 faults per design, 48 stimulus
-    cycles. *)
+    cycles.  With [cache], the device and the bit database are loaded from
+    it when an entry for these architecture parameters exists, and stored
+    in it otherwise; without, they are always built. *)

@@ -12,15 +12,49 @@ type design_run = {
   campaign : Campaign.t option;
 }
 
-let implement_design ?(voter = Tmr_core.Voter.Majority) (ctx : Context.t)
-    strategy =
+(* What the cache keeps of an implementation: everything but the source
+   netlist, the seed (both in the key) and the device and bit database,
+   which come back from the context so that every campaign of a process
+   shares one device. *)
+type impl_parts =
+  Tmr_netlist.Netlist.t
+  * Tmr_pnr.Pack.t
+  * Tmr_pnr.Place.t
+  * Tmr_pnr.Route.result
+  * Tmr_pnr.Bitgen.t
+  * Tmr_pnr.Timing.report
+
+let implement ?cache (ctx : Context.t) nl =
+  let seed = ctx.Context.seed and dev = ctx.Context.dev and db = ctx.Context.db in
+  let build () =
+    Impl.implement_exn ~seed ?moves_per_site:ctx.Context.place_moves dev db nl
+  in
+  match cache with
+  | None -> build ()
+  | Some c ->
+      let key =
+        Printf.sprintf "nl=%s seed=%d moves=%s arch=%s" (Cache.digest nl) seed
+          (match ctx.Context.place_moves with
+          | None -> "default"
+          | Some m -> string_of_int m)
+          (Cache.digest dev.Tmr_arch.Device.params)
+      in
+      let mapped, pack, place, route, bitgen, timing =
+        Cache.memo c ~kind:"impl" ~key
+          ~read:(fun ic -> (Marshal.from_channel ic : impl_parts))
+          ~write:(fun oc (p : impl_parts) -> Marshal.to_channel oc p [])
+          (fun () ->
+            let i = build () in
+            Impl.(i.mapped, i.pack, i.place, i.route, i.bitgen, i.timing))
+      in
+      { Impl.source = nl; mapped; dev; db; pack; place; route; bitgen; timing; seed }
+
+let implement_design ?cache ?(voter = Tmr_core.Voter.Majority)
+    (ctx : Context.t) strategy =
   let nl =
     Tmr_filter.Designs.build ~params:ctx.Context.params ~voter strategy
   in
-  let impl =
-    Impl.implement_exn ~seed:ctx.Context.seed
-      ?moves_per_site:ctx.Context.place_moves ctx.Context.dev ctx.Context.db nl
-  in
+  let impl = implement ?cache ctx nl in
   {
     strategy;
     voter;
@@ -45,11 +79,11 @@ let campaign_design ?progress ?workers ?cone_skip ?forensics ?stop_at_ci
   in
   { run with campaign = Some campaign }
 
-let run_all ?progress ?workers ?forensics ?stop_at_ci ?voter ctx =
+let run_all ?cache ?progress ?workers ?forensics ?stop_at_ci ?voter ctx =
   List.map
     (fun strategy ->
       campaign_design ?progress ?workers ?forensics ?stop_at_ci ctx
-        (implement_design ?voter ctx strategy))
+        (implement_design ?cache ?voter ctx strategy))
     Partition.all_paper_designs
 
 let coverage_of run =

@@ -11,6 +11,7 @@ type design_run = {
 }
 
 val implement_design :
+  ?cache:Cache.t ->
   ?voter:Tmr_core.Voter.variant ->
   Context.t ->
   Tmr_core.Partition.strategy ->
@@ -18,7 +19,12 @@ val implement_design :
 (** Build, map, place, route; no fault injection.  [voter] (default
     [Majority]) selects the voter macro every voter partition
     instantiates; [Detecting] adds the pairwise-disagreement outputs
-    campaigns classify into the detected-vs-silent taxonomy. *)
+    campaigns classify into the detected-vs-silent taxonomy.
+
+    With [cache], the techmap, pack, place, route, bitgen and timing
+    results are loaded from it when an entry exists for this gate netlist,
+    seed, placement effort and architecture, and stored otherwise.  A
+    loaded implementation's [dev] and [db] are the context's own. *)
 
 val campaign_design :
   ?progress:(string -> Tmr_inject.Campaign.progress -> unit) ->
@@ -36,6 +42,7 @@ val campaign_design :
     [cone_skip:false] selects the full-rebuild oracle. *)
 
 val run_all :
+  ?cache:Cache.t ->
   ?progress:(string -> Tmr_inject.Campaign.progress -> unit) ->
   ?workers:int ->
   ?forensics:bool ->

@@ -92,6 +92,7 @@ type manifest = {
   sm_wall_ns : int;
   sm_busy_ns : int;
   sm_setup_ns : int;
+  sm_workers : int;
   sm_owner : int;
   sm_fingerprint : string;
 }
@@ -118,6 +119,7 @@ let manifest_to_json m =
       ("wall_ns", i m.sm_wall_ns);
       ("busy_ns", i m.sm_busy_ns);
       ("setup_ns", i m.sm_setup_ns);
+      ("workers", i m.sm_workers);
       ("owner", i m.sm_owner);
       ("fingerprint", Json.Str m.sm_fingerprint);
     ]
@@ -138,6 +140,11 @@ let manifest_of_json j =
   let* sm_wall_ns = field "wall_ns" Json.int j in
   let* sm_busy_ns = field "busy_ns" Json.int j in
   let* sm_setup_ns = field "setup_ns" Json.int j in
+  (* a manifest written before the field existed reads as one domain,
+     so an older queue still resumes *)
+  let sm_workers =
+    Option.value ~default:1 (Option.bind (Json.member "workers" j) Json.int)
+  in
   let* sm_owner = field "owner" Json.int j in
   let* sm_fingerprint = field "fingerprint" Json.str j in
   Ok
@@ -159,6 +166,7 @@ let manifest_of_json j =
       sm_wall_ns;
       sm_busy_ns;
       sm_setup_ns;
+      sm_workers;
       sm_owner;
       sm_fingerprint;
     }
@@ -173,6 +181,7 @@ let manifest_of_campaign r ~fingerprint ~owner (c : Campaign.t) =
     sm_wall_ns = c.Campaign.wall_ns;
     sm_busy_ns = Array.fold_left ( + ) 0 c.Campaign.busy_ns;
     sm_setup_ns = Array.fold_left ( + ) 0 c.Campaign.setup_ns;
+    sm_workers = c.Campaign.workers;
     sm_owner = owner;
     sm_fingerprint = fingerprint;
   }
@@ -274,9 +283,13 @@ let merge ~design ~total ~procs ~wall_ns shards =
   let busy = List.fold_left (fun a (m, _) -> a + m.sm_busy_ns) 0 shards in
   let setup = List.fold_left (fun a (m, _) -> a + m.sm_setup_ns) 0 shards in
   let procs = max 1 procs in
+  (* busy and setup are summed over every domain of every shard, so the
+     capacity they are measured against is every domain of every
+     process: [procs] processes of up to [domains] campaign domains *)
+  let domains = List.fold_left (fun a (m, _) -> max a m.sm_workers) 1 shards in
   (* a resumed run's coordinator wall excludes the earlier invocations'
      work, so floor the wall at the summed shard walls spread over the
-     processes — keeps the utilization ratio meaningful (<= ~1) *)
+     processes — keeps the utilization ratio within [0, 1] *)
   let shard_wall =
     List.fold_left (fun a (m, _) -> a + m.sm_wall_ns) 0 shards
   in
@@ -287,7 +300,7 @@ let merge ~design ~total ~procs ~wall_ns shards =
     injected = total;
     wrong;
     results;
-    workers = procs;
+    workers = procs * domains;
     stats;
     wall_ns;
     busy_ns = [| busy |];

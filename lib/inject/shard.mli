@@ -56,6 +56,9 @@ type manifest = {
   sm_wall_ns : int;  (** wall time of the shard's injection loop *)
   sm_busy_ns : int;  (** summed worker busy time of the shard *)
   sm_setup_ns : int;  (** summed worker setup time of the shard *)
+  sm_workers : int;
+      (** domains of the shard's campaign; a manifest written without
+          the field reads as 1 *)
   sm_owner : int;  (** pid of the worker that completed the shard *)
   sm_fingerprint : string;
       (** job fingerprint the shard was simulated under; a resume with a
@@ -84,6 +87,7 @@ val merge :
     [results] land at their fault index, so the merged array is
     bit-identical to the single-process campaign over the same fault
     list; [wrong] and [stats] are the sums; [wall_ns] is the
-    coordinator's wall clock and [procs] the process count, from which
-    {!Campaign.utilization} reports fleet utilization (the shards'
-    busy + setup time over [procs * wall_ns]). *)
+    coordinator's wall clock and [procs] the process count.  The merged
+    [workers] is [procs] times the largest [sm_workers], the fleet's
+    domain count, so {!Campaign.utilization} (the shards' busy + setup
+    time over [workers * wall_ns]) stays within [0, 1]. *)

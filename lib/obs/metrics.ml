@@ -43,12 +43,15 @@ let bucket_of v =
 
 (* --- instruments ----------------------------------------------------- *)
 
-type counter = { c_shards : int Atomic.t array }
-(* [g_set] is false until the first {!set}: a gauge nobody set is absent
-   from snapshots, not 0.0 *)
+(* [c_touched], [g_set] and [h_touched] are false until the first
+   {!incr}, {!set} or {!observe}: an instrument nothing recorded into is
+   absent from snapshots, not 0.  {!reset} zeroes values but keeps an
+   instrument that was already reported present. *)
+type counter = { c_shards : int Atomic.t array; c_touched : bool Atomic.t }
 type gauge = { g_cell : float Atomic.t; g_set : bool Atomic.t }
 
 type histogram = {
+  h_touched : bool Atomic.t;
   h_buckets : int Atomic.t array array;  (* shard -> bucket -> count *)
   h_count : int Atomic.t array;  (* shard *)
   h_sum : int Atomic.t array;  (* shard *)
@@ -80,7 +83,10 @@ let atomic_row n = Array.init n (fun _ -> Atomic.make 0)
 let sentinel_row n v = Array.init n (fun _ -> Atomic.make v)
 
 let counter name =
-  match intern name (fun () -> Counter { c_shards = atomic_row nshards }) with
+  match
+    intern name (fun () ->
+        Counter { c_shards = atomic_row nshards; c_touched = Atomic.make false })
+  with
   | Counter c -> c
   | _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a counter" name)
 
@@ -97,6 +103,7 @@ let histogram name =
     intern name (fun () ->
         Histogram
           {
+            h_touched = Atomic.make false;
             h_buckets = Array.init nshards (fun _ -> atomic_row nbuckets);
             h_count = atomic_row nshards;
             h_sum = atomic_row nshards;
@@ -107,7 +114,13 @@ let histogram name =
   | Histogram h -> h
   | _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a histogram" name)
 
-let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_shards.(slot ()) by)
+(* a plain read first: once touched, the flag's cache line stays shared *)
+let touch flag = if not (Atomic.get flag) then Atomic.set flag true
+
+let incr ?(by = 1) c =
+  ignore (Atomic.fetch_and_add c.c_shards.(slot ()) by);
+  touch c.c_touched
+
 let set g v =
   Atomic.set g.g_cell v;
   Atomic.set g.g_set true
@@ -129,7 +142,8 @@ let observe h v =
   ignore (Atomic.fetch_and_add h.h_count.(s) 1);
   ignore (Atomic.fetch_and_add h.h_sum.(s) (max 0 v));
   atomic_min h.h_min.(s) v;
-  atomic_max h.h_max.(s) v
+  atomic_max h.h_max.(s) v;
+  touch h.h_touched
 
 (* --- snapshots ------------------------------------------------------- *)
 
@@ -221,12 +235,13 @@ let snapshot () =
   List.fold_right
     (fun (name, i) acc ->
       match i with
-      | Counter c -> { acc with counters = (name, sum_row c.c_shards) :: acc.counters }
+      | Counter c when Atomic.get c.c_touched ->
+          { acc with counters = (name, sum_row c.c_shards) :: acc.counters }
       | Gauge g when Atomic.get g.g_set ->
           { acc with gauges = (name, Atomic.get g.g_cell) :: acc.gauges }
-      | Gauge _ -> acc
-      | Histogram h ->
-          { acc with histograms = (name, summarize h) :: acc.histograms })
+      | Histogram h when Atomic.get h.h_touched ->
+          { acc with histograms = (name, summarize h) :: acc.histograms }
+      | Counter _ | Gauge _ | Histogram _ -> acc)
     items
     { counters = []; gauges = []; histograms = [] }
 

@@ -26,7 +26,10 @@ val gauge : string -> gauge
 val histogram : string -> histogram
 
 val incr : ?by:int -> counter -> unit
-(** Add [by] (default 1) to the counter.  Domain-safe, exact. *)
+(** Add [by] (default 1) to the counter.  Domain-safe, exact.  A counter
+    never incremented is absent from {!snapshot} (and so from the JSON,
+    {!merge} and the Prometheus exposition); [incr ~by:0] makes it
+    present, so a real zero is reported as 0. *)
 
 val set : gauge -> float -> unit
 (** Last write wins.  A gauge that was never set is absent from
@@ -37,7 +40,8 @@ val observe : histogram -> int -> unit
 (** Record one non-negative sample (conventionally nanoseconds).
     Samples [<= 0] land in the first bucket.  Domain-safe, exact counts
     and sums; the bucket resolution is [2^(1/3)] (~26%), which bounds
-    the percentile error. *)
+    the percentile error.  A histogram with no sample ever is absent
+    from {!snapshot}, like an untouched counter. *)
 
 (** {1 Snapshots} *)
 
@@ -81,7 +85,8 @@ val percentile : histogram -> float -> float
 
 val reset : unit -> unit
 (** Zero every registered instrument and unset every gauge (instruments
-    stay registered).
+    stay registered; counters and histograms that were present stay
+    present, as zero).
     For benchmarks that isolate one phase; not domain-safe against
     concurrent recorders. *)
 

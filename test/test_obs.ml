@@ -207,11 +207,9 @@ let test_percentile_edge_cases () =
   (* empty *)
   let h0 = Metrics.histogram "test.pct.empty" in
   Alcotest.(check (float 0.0)) "empty p50" 0.0 (Metrics.percentile h0 0.5);
-  let snap = Metrics.snapshot () in
-  let s0 = List.assoc "test.pct.empty" snap.Metrics.histograms in
-  Alcotest.(check int) "empty count" 0 s0.Metrics.count;
-  Alcotest.(check (float 0.0)) "empty mean" 0.0 s0.Metrics.mean;
-  Alcotest.(check (float 0.0)) "empty p99" 0.0 s0.Metrics.p99;
+  (* a histogram that never saw a sample is not reported at all *)
+  Alcotest.(check bool) "empty histogram absent from the snapshot" false
+    (List.mem_assoc "test.pct.empty" (Metrics.snapshot ()).Metrics.histograms);
   (* single sample: all percentiles hit the same bucket, whose upper
      bound over-estimates by at most the bucket ratio (~26% + rounding) *)
   let h1 = Metrics.histogram "test.pct.single" in
@@ -354,6 +352,47 @@ let test_unset_gauge_absent () =
     (mentions "test_gauge_never_set");
   Alcotest.(check bool) "set gauge exposed" true
     (mentions "test_gauge_set 0.25")
+
+(* The same rule for counters and histograms: one nothing recorded into is
+   absent from the snapshot, its JSON, a merge and the exposition, while
+   [incr ~by:0] reports a real zero. *)
+let test_untouched_absent () =
+  let untouched = "test.counter.untouched" and zero = "test.counter.zero" in
+  let hist = "test.hist.untouched" in
+  let _ = Metrics.counter untouched and _ = Metrics.histogram hist in
+  Metrics.incr ~by:0 (Metrics.counter zero);
+  let snap = Metrics.snapshot () in
+  let has name (s : Metrics.snapshot) =
+    List.mem_assoc name s.Metrics.counters
+    || List.mem_assoc name s.Metrics.histograms
+  in
+  let check_absent what s =
+    Alcotest.(check bool) ("untouched counter absent " ^ what) false
+      (has untouched s);
+    Alcotest.(check bool) ("empty histogram absent " ^ what) false (has hist s);
+    Alcotest.(check (option int)) ("incr ~by:0 reports 0 " ^ what) (Some 0)
+      (List.assoc_opt zero s.Metrics.counters)
+  in
+  check_absent "from the snapshot" snap;
+  match Metrics.of_json_string (Metrics.to_json_string snap) with
+  | Error e -> Alcotest.fail e
+  | Ok back ->
+      check_absent "after a JSON round trip" back;
+      check_absent "after a merge" (Metrics.merge back back);
+      let expo = Tmr_obs.Expose.render () in
+      let mentions needle =
+        let n = String.length needle and h = String.length expo in
+        let rec go i =
+          i + n <= h && (String.sub expo i n = needle || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "untouched counter absent from exposition" false
+        (mentions "test_counter_untouched");
+      Alcotest.(check bool) "empty histogram absent from exposition" false
+        (mentions "test_hist_untouched");
+      Alcotest.(check bool) "zero counter exposed" true
+        (mentions "test_counter_zero 0")
 
 (* ------------------------------------------------------------------ *)
 (* Tracing: a traced reduced-scale campaign produces line-by-line valid
@@ -696,6 +735,8 @@ let () =
             test_snapshot_json_parses;
           Alcotest.test_case "unset gauge absent everywhere" `Quick
             test_unset_gauge_absent;
+          Alcotest.test_case "untouched counter and histogram absent" `Quick
+            test_untouched_absent;
         ] );
       ( "tracing",
         [

@@ -125,13 +125,25 @@ let test_manifest_roundtrip () =
       sm_wall_ns = 123456;
       sm_busy_ns = 111111;
       sm_setup_ns = 22222;
+      sm_workers = 2;
       sm_owner = 999;
       sm_fingerprint = "cafe1234";
     }
   in
   match Shard.manifest_of_json (Shard.manifest_to_json m) with
   | Error e -> Alcotest.failf "manifest roundtrip: %s" e
-  | Ok m' -> Alcotest.(check bool) "manifest survives" true (m = m')
+  | Ok m' -> (
+      Alcotest.(check bool) "manifest survives" true (m = m');
+      (* a queue written before manifests recorded their domain count *)
+      match Shard.manifest_to_json m with
+      | Tmr_obs.Json.Obj fields -> (
+          let old = Tmr_obs.Json.Obj (List.remove_assoc "workers" fields) in
+          match Shard.manifest_of_json old with
+          | Error e -> Alcotest.failf "manifest without workers: %s" e
+          | Ok m' ->
+              Alcotest.(check int) "missing workers reads as 1" 1
+                m'.Shard.sm_workers)
+      | _ -> Alcotest.fail "manifest renders as an object")
 
 let test_shard_events_roundtrip () =
   List.iter
@@ -170,6 +182,7 @@ let mk_manifest (r : Shard.range) =
     sm_wall_ns = 1;
     sm_busy_ns = 1;
     sm_setup_ns = 0;
+    sm_workers = 1;
     sm_owner = Unix.getpid ();
     sm_fingerprint = "fp";
   }
@@ -460,6 +473,70 @@ let test_store_load_dir_corrupt () =
   let ms' = Store.load_dir ~dir () in
   Alcotest.(check int) "default warn skips too" 1 (List.length ms')
 
+(* --- utilization ------------------------------------------------------- *)
+
+let check_utilization what (c : Campaign.t) =
+  List.iter
+    (fun (name, u) ->
+      if not (u >= 0.0 && u <= 1.0) then
+        Alcotest.failf "%s: %s %.4f outside [0, 1]" what name u)
+    [
+      ("utilization", Campaign.utilization c);
+      ("inject_utilization", Campaign.inject_utilization c);
+    ]
+
+(* Two shards whose two domains were busy for their whole wall: the fleet
+   is exactly saturated, which only reads as 1 when the merge counts
+   every domain of every process. *)
+let test_merge_counts_domains () =
+  let shard (r : Shard.range) =
+    let results =
+      Array.init (r.Shard.sh_hi - r.Shard.sh_lo) (fun i ->
+          ( r.Shard.sh_lo + i,
+            {
+              Campaign.bit = 100 + r.Shard.sh_lo + i;
+              outcome = Campaign.Silent;
+              effect = Classify.Other_effect;
+              first_error_cycle = -1;
+              detect_cycle = -1;
+              forensics = None;
+            } ))
+    in
+    ( { (mk_manifest r) with
+        Shard.sm_wall_ns = 100; sm_busy_ns = 180; sm_setup_ns = 20;
+        sm_workers = 2 },
+      results )
+  in
+  let shards = Array.to_list (Array.map shard (Shard.plan ~total:10 ~shards:2)) in
+  List.iter
+    (fun (procs, wall_ns) ->
+      let c = Shard.merge ~design:"d" ~total:10 ~procs ~wall_ns shards in
+      let what = Printf.sprintf "%d proc(s)" procs in
+      Alcotest.(check int) (what ^ ": every domain counted") (2 * procs)
+        c.Campaign.workers;
+      check_utilization what c;
+      Alcotest.(check (float 1e-9)) (what ^ ": saturated") 1.0
+        (Campaign.utilization c))
+    [ (1, 200); (2, 100) ]
+
+(* A sharded run of two-domain shard campaigns on one process. *)
+let test_sharded_utilization () =
+  let ctx = Lazy.force ctx in
+  let job =
+    Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:4 ~workers:2
+      Partition.Medium_partition
+  in
+  match
+    Service.run_sharded ~notify:(fun _ -> ()) ~dir:(temp_dir "util") job ctx
+      (Lazy.force run_p2)
+  with
+  | Error e -> Alcotest.failf "run_sharded: %s" e
+  | Ok (Service.Incomplete _) -> Alcotest.fail "unexpectedly incomplete"
+  | Ok (Service.Complete o) ->
+      let c = o.Service.o_campaign in
+      Alcotest.(check int) "one process of two domains" 2 c.Campaign.workers;
+      check_utilization "sharded run" c
+
 let () =
   Alcotest.run "shard"
     [
@@ -501,5 +578,13 @@ let () =
         [
           Alcotest.test_case "load_dir skips corrupt manifests" `Quick
             test_store_load_dir_corrupt;
+        ] );
+      (* last: two-domain campaigns, after which this process cannot fork *)
+      ( "utilization",
+        [
+          Alcotest.test_case "merge counts every domain" `Quick
+            test_merge_counts_domains;
+          Alcotest.test_case "sharded run within [0, 1]" `Quick
+            test_sharded_utilization;
         ] );
     ]

@@ -231,12 +231,60 @@ let test_sdc_gauge_only_with_detectors () =
        /. float_of_int detecting.Campaign.injected))
     (sdc_gauge ())
 
+(* Detection metrics exist only where detection does: a majority campaign
+   records none of the campaign.detection.* instruments, so none is
+   exported (not even as 0); a detecting one records all four verdict
+   counters, zeros included.  Instruments stay present once recorded
+   into, so this must run before any other detecting campaign of the
+   process. *)
+let test_detection_metrics_only_with_detectors () =
+  let module Metrics = Tmr_obs.Metrics in
+  let ctx =
+    Context.create ~scale:Context.Reduced ~seed:11 ~faults_per_design:60 ()
+  in
+  let campaign voter =
+    Option.get
+      (Runs.campaign_design ~workers:2 ctx
+         (Runs.implement_design ~voter ctx Partition.Medium_partition))
+        .Runs.campaign
+  in
+  let detection_names () =
+    let s = Metrics.snapshot () in
+    List.filter
+      (fun n -> String.starts_with ~prefix:"campaign.detection." n)
+      (List.map fst s.Metrics.counters
+      @ List.map fst s.Metrics.gauges
+      @ List.map fst s.Metrics.histograms)
+  in
+  ignore (campaign Voter.Majority);
+  Alcotest.(check (list string)) "nothing under majority" []
+    (detection_names ());
+  let dc = Campaign.detection_counts (campaign Voter.Detecting) in
+  let counters = (Metrics.snapshot ()).Metrics.counters in
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check (option int))
+        ("campaign.detection." ^ name ^ " under detecting")
+        (Some n)
+        (List.assoc_opt ("campaign.detection." ^ name) counters))
+    [
+      ("silent_correct", dc.Campaign.dc_silent_correct);
+      ("detected_corrected", dc.Campaign.dc_detected_corrected);
+      ("detected_wrong", dc.Campaign.dc_detected_wrong);
+      ("silent_wrong", dc.Campaign.dc_silent_wrong);
+    ]
+
 let () =
   Alcotest.run "tmr_voters"
     [
       ( "library",
         [ Alcotest.test_case "variants, names, cost model" `Quick test_library ]
       );
+      ( "metrics",
+        [
+          Alcotest.test_case "detection metrics only with detectors" `Quick
+            test_detection_metrics_only_with_detectors;
+        ] );
       ( "taxonomy",
         [
           Alcotest.test_case
