@@ -13,7 +13,6 @@ module Impl = Tmr_pnr.Impl
 module Route = Tmr_pnr.Route
 module Bitgen = Tmr_pnr.Bitgen
 module Campaign = Tmr_inject.Campaign
-module Faultlist = Tmr_inject.Faultlist
 module Bitstream = Tmr_arch.Bitstream
 module Metrics = Tmr_obs.Metrics
 
