@@ -367,7 +367,10 @@ let campaign_bench ~distributed =
         Runs.implement_design ctx Partition.Medium_partition)
   in
   (* the full-rebuild oracle, then the two production engines: batched
-     by default, scalar differential when forensics are collected *)
+     by default, scalar differential under sequential stopping.  The
+     scalar row collects forensics too, as it did when forensics forced
+     the scalar engine; its stop rule is one no prefix meets, so it
+     runs every fault *)
   let base =
     measure_row ~cone_skip:false ~name:"sequential-rebuild" ~workers:1 ctx run
   in
@@ -376,8 +379,9 @@ let campaign_bench ~distributed =
       ctx run
   in
   let forn =
-    measure_row ~repeat:3 ~forensics:true ~name:"parallel-diff-forensics"
-      ~workers:parallel_workers ctx run
+    measure_row ~repeat:3 ~forensics:true
+      ~stop_at_ci:(Stats.stop_rule ~min_n:max_int ~half_width:0.5 ())
+      ~name:"parallel-diff-forensics" ~workers:parallel_workers ctx run
   in
   (* sequential stopping: same fault list, stop once the Wilson CI of the
      wrong-answer rate narrows to ±1.5 percentage points *)

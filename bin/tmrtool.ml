@@ -283,6 +283,11 @@ let engine_summary (c : Campaign.t) =
           s.Campaign.batched h.Metrics.count h.Metrics.p50 h.Metrics.p95
     | _ -> Printf.printf "  batch engine: %d faults word-parallel\n" s.Campaign.batched
   end;
+  if Campaign.forensic_summary c <> None then
+    Printf.printf
+      "  forensics: %d batch lanes re-ran on the scalar engine for their \
+       record\n"
+      s.Campaign.forensic_reruns;
   Printf.printf "  %-18s %8s %9s %9s %9s\n" "fault latency" "count" "p50"
     "p95" "p99";
   List.iter

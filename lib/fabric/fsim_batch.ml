@@ -40,10 +40,20 @@ exception Ineligible
 
 let bail (_reason : string) = raise Ineligible
 
+type provenance = {
+  pv_cone : int;
+  pv_diverged : int;
+  pv_first_node : int;
+  pv_first_cycle : int;
+  pv_depth : int;
+  pv_voter_held : bool;
+}
+
 type verdict = {
   bv_error_cycle : int;
   bv_converge_cycle : int;
   bv_detect_cycle : int;
+  bv_provenance : provenance option;
 }
 
 let width = 64
@@ -99,6 +109,15 @@ type t = {
   mutable dq : int array;  (* register-state divergence *)
   mutable dmark : Bytes.t;  (* '\001' = on [dlist] *)
   mutable dlist : int array;  (* nodes with a non-empty [dv] word *)
+  (* provenance state, allocated by the first forensic run and all-zero
+     between runs like [dv] *)
+  mutable fev : int array;  (* per node: lanes that ever diverged *)
+  mutable fstamp : int array;  (* per node: per-lane walk epoch stamp *)
+  mutable bdepth : int array;  (* per node: per-lane BFS depth *)
+  mutable dci : int array;  (* DFS stack: next dependency index *)
+  mutable rowof : int array array;  (* per node: the walked lane's row *)
+  mutable rowep : int array;  (* per node: epoch [rowof] is valid for *)
+  mutable fepoch : int;
   (* tape-value broadcast memo, stamped by cycle; valid across runs
      while the worker keeps handing in the same tape *)
   tb_h : int array;
@@ -216,6 +235,13 @@ let create base cone =
       dq = [||];
       dmark = Bytes.empty;
       dlist = [||];
+      fev = [||];
+      fstamp = [||];
+      bdepth = [||];
+      dci = [||];
+      rowof = [||];
+      rowep = [||];
+      fepoch = 0;
       tb_h = Array.make (max 1 bn) 0;
       tb_l = Array.make (max 1 bn) 0;
       tb_c = Array.make (max 1 bn) (-1);
@@ -230,6 +256,17 @@ let create base cone =
   ensure t (bn + 64);
   t
 
+let fensure t =
+  if Array.length t.fstamp < t.cap then begin
+    t.fev <- Array.make (t.cap * stride) 0;
+    (* fresh stamps start at 0 < any live epoch *)
+    t.fstamp <- Array.make t.cap 0;
+    t.bdepth <- Array.make t.cap 0;
+    t.dci <- Array.make t.cap 0;
+    t.rowof <- Array.make t.cap [||];
+    t.rowep <- Array.make t.cap 0
+  end
+
 let csr t = (t.csr_off, t.csr_succ)
 let bel_of t = t.bel_of
 let last_cone t = Array.sub t.last_cone 0 t.last_nm
@@ -237,8 +274,9 @@ let last_cone t = Array.sub t.last_cone 0 t.last_nm
 (* Index of the single set bit of [m] (an isolated power of two). *)
 let rec bit_index m i = if m land 1 = 1 then i else bit_index (m lsr 1) (i + 1)
 
-let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
+let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let v = t.view in
+  let forensics = voters <> None in
   let bn = v.F.v_nnodes in
   let nlanes = Array.length lanes in
   if nlanes = 0 || nlanes > width then
@@ -372,16 +410,21 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
           else if p < bn then p
           else lane_extbase.(li) + (p - bn)
         in
+        (* a remapped row equal to the base row changes nothing: like
+           the scalar engine's derived seeds, it is neither an overlay
+           nor a seed *)
         Array.iter
           (fun (node, row) ->
             if node < 0 || node >= bn then bail "node out of range";
-            let rrow = Array.map remap row in
-            (match Hashtbl.find_opt tbl_rows node with
-            | Some r -> r := (li, rrow) :: !r
-            | None -> Hashtbl.add tbl_rows node (ref [ (li, rrow) ]));
-            lane_rows.(li) <- (node, rrow) :: lane_rows.(li);
-            seeds := node :: !seeds;
-            Array.iter (fun p -> if p >= 0 then radj_add p node) rrow)
+            if row <> v.F.v_inputs.(node) then begin
+              let rrow = Array.map remap row in
+              (match Hashtbl.find_opt tbl_rows node with
+              | Some r -> r := (li, rrow) :: !r
+              | None -> Hashtbl.add tbl_rows node (ref [ (li, rrow) ]));
+              lane_rows.(li) <- (node, rrow) :: lane_rows.(li);
+              seeds := node :: !seeds;
+              Array.iter (fun p -> if p >= 0 then radj_add p node) rrow
+            end)
           d.F.dl_rows;
         Array.iteri
           (fun i (ins, _res_wires) ->
@@ -1212,7 +1255,9 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
         let s0 = seeds.(i) in
         t.rstamp.(s0) <- ep;
         t.rv.(s0) <- lane_v s0 sub bit;
-        t.rvl.(s0) <- lane_lv s0 sub bit;
+        (* the boundary copy already ran: the glitch rule's previous
+           value at cycle [c + 1] is the value at [c] *)
+        t.rvl.(s0) <- t.rv.(s0);
         if s0 < bn && v.F.v_kind.(s0) = F.kind_bel_reg then
           t.rq.(s0) <-
             (if dq.((s0 * stride) + sub) land (1 lsl bit) <> 0 then
@@ -1326,6 +1371,46 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
     let err_cy = Array.make nlanes (-1) in
     let conv_cy = Array.make nlanes (-1) in
     let det_cy = Array.make nlanes (-1) in
+    (* ---- provenance (forensic runs only): per lane, the base nodes
+       that ever left the tape ([fev] bits), counted from the settled
+       divergence words of each cycle the lane is live — exactly the
+       cycles the scalar engine scans — and the seeds among those of its
+       first diverging cycle.  The scalar engine names the first
+       diverged node of that cycle in its simulator's SCC order.  Every
+       diverged non-seed node of that cycle has a diverged input (its
+       inputs tracked the tape the cycle before, and its function is the
+       base one), so a diverged seed comes first: a lone one in any
+       order; of two or more, the one the lane's SCC pass emits first,
+       which [first_emitted] finds. ---- *)
+    if forensics then fensure t;
+    let fev = t.fev in
+    let fcnt = if forensics then Array.make nlanes 0 else [||] in
+    let ffc = if forensics then Array.make nlanes (-1) else [||] in
+    let fseeds = if forensics then Array.make nlanes [] else [||] in
+    let note_divergence c =
+      for i = 0 to !ndl - 1 do
+        let u = dlist.(i) in
+        if u < bn then begin
+          let b = u * stride in
+          for s = 0 to ns - 1 do
+            let nw = dv.(b + s) land live.(s) land lnot fev.(b + s) in
+            if nw <> 0 then begin
+              fev.(b + s) <- fev.(b + s) lor nw;
+              let m = ref nw in
+              while !m <> 0 do
+                let lsb = !m land - !m in
+                m := !m land (!m - 1);
+                let li = (s * 32) + bit_index lsb 0 in
+                fcnt.(li) <- fcnt.(li) + 1;
+                if ffc.(li) < 0 then ffc.(li) <- c;
+                if ffc.(li) = c && List.mem u lane_seeds.(li) then
+                  fseeds.(li) <- u :: fseeds.(li)
+              done
+            end
+          done
+        end
+      done
+    in
     let und = Lanemask.create nlanes in
     Lanemask.set_all und;
     Array.iteri (fun li d -> if d then Lanemask.clear und li) lane_dead;
@@ -1390,6 +1475,7 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
           done
         done
       done;
+      if forensics then note_divergence c;
       (* watched-output check (before the clock, like the scalar
          engine).  Functional entries ([wi < nfunc]) record the first
          error; trailing detection entries record the first disagreement
@@ -1537,8 +1623,140 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
       end;
       incr cy
     done;
+    (* per-lane cone: BFS from the lane's seeds over the base reader CSR
+       plus the lane's own overlay reader edges, as the scalar engine
+       closes its cone over the rewired simulator.  A base edge into a
+       rewired node differs from the lane's circuit only where that
+       node is a seed, already at depth 0. *)
+    let lane_reads li r p =
+      if r >= bn then ext_lane.(r - bn) = li
+      else
+        match Hashtbl.find_opt tbl_rows r with
+        | Some rl -> List.exists (fun (l, row) -> l = li && Array.mem p row) !rl
+        | None -> false
+    in
+    (* Which of [cands] (diverged seeds, so each in a one-node SCC) the
+       SCC pass [Fsim.reroute] runs over lane [li]'s simulator emits
+       first: that pass is a DFS over combinational dependencies from
+       roots in node order, and a one-node SCC is emitted when its DFS
+       visit finishes.  So repeat the DFS over the lane's rows and stop
+       at the first candidate to finish; every candidate is a base node,
+       finished before any appended node becomes a root. *)
+    let first_emitted li cands =
+      t.fepoch <- t.fepoch + 1;
+      let ep = t.fepoch in
+      List.iter
+        (fun (u, row) ->
+          t.rowep.(u) <- ep;
+          t.rowof.(u) <- row)
+        lane_rows.(li);
+      let deps u =
+        if u >= bn then ext_row.(u - bn)
+        else
+          let k = v.F.v_kind.(u) in
+          if k = F.kind_bel_comb || k = F.kind_resolve then
+            if t.rowep.(u) = ep then t.rowof.(u) else v.F.v_inputs.(u)
+          else [||]
+      in
+      let stk = t.queue and sp = ref 0 in
+      let push u =
+        t.fstamp.(u) <- ep;
+        stk.(!sp) <- u;
+        t.dci.(!sp) <- 0;
+        incr sp
+      in
+      let found = ref (-1) and root = ref 0 in
+      while !found < 0 && !root < bn do
+        if t.fstamp.(!root) <> ep then begin
+          push !root;
+          while !found < 0 && !sp > 0 do
+            let u = stk.(!sp - 1) and i = t.dci.(!sp - 1) in
+            let d = deps u in
+            if i < Array.length d then begin
+              t.dci.(!sp - 1) <- i + 1;
+              let c = d.(i) in
+              if c >= 0 && t.fstamp.(c) <> ep then push c
+            end
+            else begin
+              decr sp;
+              if List.mem u cands then found := u
+            end
+          done
+        end;
+        incr root
+      done;
+      !found
+    in
+    let provenance li =
+      let first =
+        match fseeds.(li) with
+        | [] -> -1
+        | [ u ] -> u
+        | cands -> first_emitted li cands
+      in
+      t.fepoch <- t.fepoch + 1;
+      let ep = t.fepoch in
+      let sub = li lsr 5 and m = 1 lsl (li land 31) in
+      let qt = ref 0 in
+      let push u d =
+        if t.fstamp.(u) <> ep then begin
+          t.fstamp.(u) <- ep;
+          t.bdepth.(u) <- d;
+          t.queue.(!qt) <- u;
+          incr qt
+        end
+      in
+      List.iter (fun u -> push u 0) lane_seeds.(li);
+      let held = ref false and depth = ref (-1) in
+      let qh = ref 0 in
+      while !qh < !qt do
+        let u = t.queue.(!qh) in
+        incr qh;
+        let d = t.bdepth.(u) + 1 in
+        if u < bn then begin
+          for e = t.csr_off.(u) to t.csr_off.(u + 1) - 1 do
+            push t.csr_succ.(e) d
+          done;
+          if fev.((u * stride) + sub) land m <> 0 then
+            depth := max !depth (d - 1)
+          else
+            match voters with
+            | Some vm when u < Bytes.length vm && Bytes.get vm u <> '\000' ->
+                held := true
+            | _ -> ()
+        end;
+        match Hashtbl.find_opt radj u with
+        | Some lst -> List.iter (fun r -> if lane_reads li r u then push r d) !lst
+        | None -> ()
+      done;
+      (* a diverging lane whose first cycle shows no diverged seed is
+         outside the argument above: no provenance *)
+      if ffc.(li) >= 0 && first < 0 then None
+      else
+        Some
+          {
+            pv_cone = !qt;
+            pv_diverged = fcnt.(li);
+            pv_first_node = first;
+            pv_first_cycle = ffc.(li);
+            pv_depth = !depth;
+            pv_voter_held = !held;
+          }
+    in
+    let verdicts =
+      Array.init nlanes (fun li ->
+          if lane_dead.(li) then None
+          else
+            Some
+              {
+                bv_error_cycle = err_cy.(li);
+                bv_converge_cycle = conv_cy.(li);
+                bv_detect_cycle = det_cy.(li);
+                bv_provenance = (if forensics then provenance li else None);
+              })
+    in
     (* restore the all-zero divergence invariant for the next run:
-       every touched [dv]/[dvl]/[dq]/[dmark] entry is a member's *)
+       every touched [dv]/[dvl]/[dq]/[dmark]/[fev] entry is a member's *)
     for i = 0 to nm - 1 do
       let u = t.members.(i) in
       Bytes.set dmark u '\000';
@@ -1547,16 +1765,11 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
         dv.(b + s) <- 0;
         dvl.(b + s) <- 0;
         dq.(b + s) <- 0
-      done
+      done;
+      if forensics then
+        for s = 0 to stride - 1 do
+          fev.(b + s) <- 0
+        done
     done;
-    Some
-      (Array.init nlanes (fun li ->
-           if lane_dead.(li) then None
-           else
-             Some
-               {
-                 bv_error_cycle = err_cy.(li);
-                 bv_converge_cycle = conv_cy.(li);
-                 bv_detect_cycle = det_cy.(li);
-               }))
+    Some verdicts
   with Ineligible -> None

@@ -31,6 +31,25 @@ val csr : t -> int array * int array
 val bel_of : t -> int array
 (** The base {!Fsim.bel_map}, for handing to {!Fsim.fault_delta}. *)
 
+type provenance = {
+  pv_cone : int;
+      (** nodes in the lane's own fanout cone, appended resolve nodes
+          included ({!Fsim.diff_forensics}' [df_cone]) *)
+  pv_diverged : int;  (** base nodes that left the tape ([df_diverged]) *)
+  pv_first_node : int;
+      (** first of them in the fault's simulator order, [-1] = none
+          ([df_first_node]) *)
+  pv_first_cycle : int;  (** the cycle it diverged ([df_first_cycle]) *)
+  pv_depth : int;
+      (** largest BFS distance from the seeds of a diverged node, [-1] =
+          none ([df_depth]) *)
+  pv_voter_held : bool;
+      (** some node marked in [run]'s [voters] lies in the cone and never
+          diverged *)
+}
+(** A lane's divergence provenance: what a forensic {!Fsim.diff_run} of
+    its fault records, field for field. *)
+
 type verdict = {
   bv_error_cycle : int;  (** first watched-output error, [-1] = silent *)
   bv_converge_cycle : int;
@@ -38,14 +57,20 @@ type verdict = {
   bv_detect_cycle : int;
       (** first cycle a trailing detection watch entry left its all-zero
           expectation, [-1] = never (always [-1] when [ndetect = 0]) *)
+  bv_provenance : provenance option;
+      (** [None] without [voters], and for a lane that diverged with no
+          diverged seed in its first diverging cycle, where the rule
+          that names its first diverged node does not apply: run that
+          fault on the scalar engine *)
 }
 (** Exactly {!Fsim.diff_run}'s
     [(first_error_cycle, converge_cycle, detect_cycle)] triple for the
-    lane's fault. *)
+    lane's fault, plus its provenance. *)
 
 val run :
   t ->
   ?ndetect:int ->
+  ?voters:Bytes.t ->
   tape:Fsim.tape ->
   expected:Tmr_logic.Logic.t array array ->
   watch:int array ->
@@ -66,6 +91,10 @@ val run :
     versa, so detection latency matches the scalar engine bit for bit.
     Defaults to [0] (every watch entry functional — the historical
     contract).
+
+    [voters] (one byte per base node, non-zero = a voter) turns on
+    per-lane {!provenance}; without it the run keeps no forensic
+    state.
 
     A [None] element declines that single lane: its rewiring makes the
     lane's own effective circuit combinationally cyclic (a bridge can

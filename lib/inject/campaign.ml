@@ -60,6 +60,7 @@ type engine_stats = {
   diffed : int;
   converged : int;
   batched : int;
+  forensic_reruns : int;
 }
 
 type t = {
@@ -90,6 +91,7 @@ let no_stats =
     diffed = 0;
     converged = 0;
     batched = 0;
+    forensic_reruns = 0;
   }
 
 let inject_utilization t =
@@ -168,6 +170,7 @@ let add_stats a b =
     diffed = a.diffed + b.diffed;
     converged = a.converged + b.converged;
     batched = a.batched + b.batched;
+    forensic_reruns = a.forensic_reruns + b.forensic_reruns;
   }
 
 let default_workers () = max 1 (Domain.recommended_domain_count () - 1)
@@ -516,49 +519,57 @@ let note_converge w cv =
     Tmr_obs.Metrics.observe m_converge cv
   end
 
+(* The scalar engine's provenance of the fault its scratch last ran, in
+   the batch engine's terms; [None] when it collected none. *)
+let scalar_provenance w dsc =
+  let d = Fsim.diff_forensics dsc in
+  if not d.Fsim.df_collected then None
+  else
+    let voter_nodes = w.w_voter_nodes in
+    Some
+      {
+        Fsim_batch.pv_cone = d.Fsim.df_cone;
+        pv_diverged = d.Fsim.df_diverged;
+        pv_first_node = d.Fsim.df_first_node;
+        pv_first_cycle = d.Fsim.df_first_cycle;
+        pv_depth = d.Fsim.df_depth;
+        pv_voter_held =
+          Array.exists
+            (fun n ->
+              n < Bytes.length voter_nodes
+              && Bytes.get voter_nodes n <> '\000'
+              && not (Fsim.diff_node_diverged dsc n))
+            (Fsim.diff_cone dsc);
+      }
+
 (* The forensic record: structural attribution on every plan path;
-   divergence fields from the diff scratch when the fault ran
-   differentially.  [masked_at_voter]: the fault corrupted cone state
-   yet stayed silent, and some voter in its fanout cone never left the
+   divergence fields from the provenance of a differential run, by
+   either engine.  [masked_at_voter]: the fault corrupted cone state yet
+   stayed silent, and some voter in its fanout cone never left the
    baseline — the corruption was out-voted (as opposed to logically
    masked before reaching any voter). *)
-let forensic_of w bit error_cycle dsc_opt =
+let forensic_of w bit error_cycle pv =
   match w.w_fattr with
   | None -> None
   | Some a ->
       let f = Forensics.structural a bit in
-      let f =
-        match dsc_opt with
+      Some
+        (match pv with
         | None -> f
-        | Some dsc ->
-            let d = Fsim.diff_forensics dsc in
-            if not d.Fsim.df_collected then f
-            else begin
-              let voter_nodes = w.w_voter_nodes in
-              let masked =
-                error_cycle < 0
-                && d.Fsim.df_diverged > 0
-                && Array.exists
-                     (fun n ->
-                       n < Bytes.length voter_nodes
-                       && Bytes.get voter_nodes n <> '\000'
-                       && not (Fsim.diff_node_diverged dsc n))
-                     (Fsim.diff_cone dsc)
-              in
-              {
-                f with
-                Forensics.masked_at_voter = masked;
-                diverged = d.Fsim.df_diverged;
-                first_diverged_node = d.Fsim.df_first_node;
-                diverge_cycle = d.Fsim.df_first_cycle;
-                depth = d.Fsim.df_depth;
-                cone_nodes = d.Fsim.df_cone;
-              }
-            end
-      in
-      Some f
+        | Some p ->
+            {
+              f with
+              Forensics.masked_at_voter =
+                error_cycle < 0 && p.Fsim_batch.pv_diverged > 0
+                && p.Fsim_batch.pv_voter_held;
+              diverged = p.Fsim_batch.pv_diverged;
+              first_diverged_node = p.Fsim_batch.pv_first_node;
+              diverge_cycle = p.Fsim_batch.pv_first_cycle;
+              depth = p.Fsim_batch.pv_depth;
+              cone_nodes = p.Fsim_batch.pv_cone;
+            })
 
-let finish w ?dsc ?(detect = -1) bit error_cycle =
+let finish w ?pv ?(detect = -1) bit error_cycle =
   if error_cycle >= 0 then Tmr_obs.Metrics.observe m_first_error error_cycle;
   {
     bit;
@@ -566,7 +577,7 @@ let finish w ?dsc ?(detect = -1) bit error_cycle =
     effect = Classify.classify w.w_h.h_impl bit;
     first_error_cycle = error_cycle;
     detect_cycle = detect;
-    forensics = forensic_of w bit error_cycle dsc;
+    forensics = forensic_of w bit error_cycle pv;
   }
 
 (* One fault on the scalar engines.  Returns the result and the path the
@@ -585,7 +596,8 @@ let inject w bit =
         ~expected:h.h_expected ()
     in
     note_converge w cv;
-    (finish w ~dsc:scratch ~detect:det bit err, Fsim.Path_diff)
+    let pv = if forensics then scalar_provenance w scratch else None in
+    (finish w ?pv ~detect:det bit err, Fsim.Path_diff)
   in
   match plan with
   | Fsim.Path_silent ->
@@ -753,10 +765,10 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
   in
   (* a registered forensics sink implies collection, like tracing *)
   let forensics = forensics || Forensics.enabled () in
-  (* The batch engine has no forensic instrumentation, and sequential
-     stopping needs per-fault completion order; both force the scalar
-     differential engine.  The rebuild oracle plans nothing to batch. *)
-  let batched = cone_skip && (not forensics) && stop_at_ci = None in
+  (* Sequential stopping needs per-fault completion order, which forces
+     the scalar differential engine.  The rebuild oracle plans nothing
+     to batch. *)
+  let batched = cone_skip && stop_at_ci = None in
   let fattr =
     if forensics then
       Some
@@ -921,16 +933,30 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
           let lanes =
             Array.map (fun j -> snd (Option.get deltas.(j))) lane_js
           in
+          let voters = if forensics then Some w.w_voter_nodes else None in
           let verdicts =
             if Array.length lanes = 0 then None
             else
-              Fsim_batch.run bt ~ndetect ~tape:w.w_tape ~expected:h.h_expected
-                ~watch:w.w_base_watch ~lanes ()
+              Fsim_batch.run bt ~ndetect ?voters ~tape:w.w_tape
+                ~expected:h.h_expected ~watch:w.w_base_watch ~lanes ()
           in
           (match verdicts with
           | Some vs ->
               let dt = Tmr_obs.Clock.now_ns () - t0 in
               busy_ns.(wid) <- busy_ns.(wid) + dt;
+              (* a forensic lane without provenance re-runs on the
+                 scalar engine, like a declined lane *)
+              let vs =
+                Array.map
+                  (function
+                    | Some v when forensics && v.Fsim_batch.bv_provenance = None
+                      ->
+                        bump w (fun s ->
+                            { s with forensic_reruns = s.forensic_reruns + 1 });
+                        None
+                    | v -> v)
+                  vs
+              in
               let nl =
                 Array.fold_left
                   (fun acc v -> if v <> None then acc + 1 else acc)
@@ -958,7 +984,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
                   match vs.(k) with
                   | None ->
                       (* lane declined (its rewiring closed a
-                         combinational loop): scalar fallback *)
+                         combinational loop) or without provenance:
+                         scalar fallback *)
                       deltas.(j) <- None
                   | Some v ->
                       let i = idxs.(j) in
@@ -990,8 +1017,9 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(forensics = false)
                         incr ks
                       end;
                       store i
-                        (finish w ~detect:v.Fsim_batch.bv_detect_cycle
-                           faults.(i) v.Fsim_batch.bv_error_cycle))
+                        (finish w ?pv:v.Fsim_batch.bv_provenance
+                           ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
+                           v.Fsim_batch.bv_error_cycle))
                 lane_js;
               for j = 0 to n - 1 do
                 if deltas.(j) = None then begin
@@ -1284,9 +1312,14 @@ let summary_json ?(confidence = 0.95) t =
        (inject_utilization t));
   Buffer.add_string b
     (Printf.sprintf
-       ",\"plan_paths\":{\"silent\":%d,\"patched\":%d,\"rerouted\":%d,\"rebuilt\":%d,\"diffed\":%d,\"converged\":%d,\"batched\":%d}"
+       ",\"plan_paths\":{\"silent\":%d,\"patched\":%d,\"rerouted\":%d,\"rebuilt\":%d,\"diffed\":%d,\"converged\":%d,\"batched\":%d"
        t.stats.skipped t.stats.patched t.stats.rerouted t.stats.rebuilt
        t.stats.diffed t.stats.converged t.stats.batched);
+  (* only a forensic campaign can re-run a batch lane for its record *)
+  if Array.exists (fun r -> r.forensics <> None) t.results then
+    Buffer.add_string b
+      (Printf.sprintf ",\"forensic_reruns\":%d" t.stats.forensic_reruns);
+  Buffer.add_char b '}';
   (* wrong answers per structural effect class, Table 4 row order *)
   Buffer.add_string b ",\"wrong_by_effect\":{";
   List.iteri

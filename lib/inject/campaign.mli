@@ -88,6 +88,12 @@ type engine_stats = {
       (** differential faults executed word-parallel by the bit-sliced
           batch engine ({!Tmr_fabric.Fsim_batch}), rather than one
           scalar diff each (subset of [diffed]) *)
+  forensic_reruns : int;
+      (** forensic batch lanes the batch engine gave no provenance (a
+          lane that diverged with no diverged seed in its first
+          diverging cycle, outside its first-node rule), so the fault
+          re-ran on the scalar engine (not in [batched]); [0] without
+          forensics *)
 }
 
 type t = {
@@ -175,8 +181,9 @@ val run :
     (same LUT/FF bel, same pip destination wire) into the
     {!Tmr_fabric.Fsim_batch.width} lanes of the bit-parallel batch engine by
     default, or one by one on the scalar differential engine when
-    batching cannot run ([forensics], [stop_at_ci], and lanes or batches
-    the batch engine declines).  Both produce bit-identical verdicts.
+    batching cannot run ([stop_at_ci], and lanes or batches the batch
+    engine declines).  Both produce bit-identical verdicts and forensic
+    records.
 
     [cone_skip] (default [true]) enables that planning; [false] rebuilds
     and replays the full DUT for every fault.  That full rebuild is the
@@ -270,9 +277,10 @@ type trace = {
     differential engine (or had no such cycle or bel). *)
 
 val trace_fault : attrib:Forensics.attrib -> harness -> int -> trace
-(** One bit through exactly the code a [~forensics:true] campaign
-    worker runs (baseline check, tape, plan, scalar dispatch): its
-    verdict and record are the ones the bit gets in such a campaign. *)
+(** One bit through the code a [~forensics:true] campaign worker runs
+    for a fault outside a batch (baseline check, tape, plan, scalar
+    dispatch): its verdict and record are the ones the bit gets in such
+    a campaign, batched or not. *)
 
 val active_campaigns : unit -> int
 (** Campaigns currently inside {!run} in this process — the liveness

@@ -161,8 +161,11 @@ let run ?progress ?should_stop ?(chunk = 16) ~workers ~total body =
                  all domains; when workers outnumber cores, a descheduled
                  domain stalls every collection for a scheduler timeslice.
                  A larger domain-local minor heap makes collections rare
-                 enough that the rendezvous cost stays negligible. *)
-              Gc.set { (Gc.get ()) with Gc.minor_heap_size = 32 * 1024 * 1024 };
+                 enough that the rendezvous cost stays negligible.  Every
+                 page of it a worker allocates through stays resident, so
+                 it is 32 MB: at 256 MB, two workers of a batched
+                 campaign held over 500 MB of minor heap. *)
+              Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
               match body wid with
               | handler -> worker_loop s wid handler
               | exception exn ->

@@ -162,6 +162,8 @@ let manifest_of_json j =
           diffed;
           converged;
           batched;
+          (* sharded campaigns collect no forensics *)
+          forensic_reruns = 0;
         };
       sm_wall_ns;
       sm_busy_ns;
@@ -198,6 +200,7 @@ let no_stats =
     diffed = 0;
     converged = 0;
     batched = 0;
+    forensic_reruns = 0;
   }
 
 let add_stats (a : Campaign.engine_stats) (b : Campaign.engine_stats) =
@@ -209,6 +212,7 @@ let add_stats (a : Campaign.engine_stats) (b : Campaign.engine_stats) =
     diffed = a.Campaign.diffed + b.Campaign.diffed;
     converged = a.Campaign.converged + b.Campaign.converged;
     batched = a.Campaign.batched + b.Campaign.batched;
+    forensic_reruns = a.Campaign.forensic_reruns + b.Campaign.forensic_reruns;
   }
 
 let merge ~design ~total ~procs ~wall_ns shards =

@@ -210,14 +210,21 @@ let test_fast_vs_rebuild_campaigns () =
     (fun strategy ->
       let name = Partition.name strategy in
       let run = Runs.implement_design ctx strategy in
-      let campaign ?cone_skip ?forensics () =
+      let campaign ?cone_skip ?stop_at_ci () =
         Option.get
-          (Runs.campaign_design ~workers:2 ?cone_skip ?forensics ctx run)
+          (Runs.campaign_design ~workers:2 ?cone_skip ?stop_at_ci ctx run)
             .Runs.campaign
       in
       let o = campaign ~cone_skip:false () in
       let batched = campaign () in
-      let scalar = campaign ~forensics:true () in
+      (* sequential stopping forces the scalar engine; no prefix meets
+         this rule, so the campaign runs in full *)
+      let scalar =
+        campaign
+          ~stop_at_ci:
+            (Tmr_obs.Stats.stop_rule ~min_n:max_int ~half_width:0.5 ())
+          ()
+      in
       List.iter
         (fun (engine, (d : Campaign.t)) ->
           let s = d.Campaign.stats in

@@ -69,8 +69,15 @@ let temp_dir tag =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "tmr-fleet-%s-%d-%d" tag (Unix.getpid ()) !temp_counter)
   in
-  if Sys.file_exists d then
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d)));
+  let rm () =
+    if Sys.file_exists d then
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d)))
+  in
+  (* stale leftovers from a crashed previous test run *)
+  rm ();
+  (* forked workers run [at_exit] too: only the creating process removes *)
+  let owner = Unix.getpid () in
+  at_exit (fun () -> if Unix.getpid () = owner then rm ());
   d
 
 (* ------------------------------------------------------------------ *)

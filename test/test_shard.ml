@@ -30,9 +30,15 @@ let temp_dir tag =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "tmr-shard-%s-%d-%d" tag (Unix.getpid ()) !temp_counter)
   in
+  let rm () =
+    if Sys.file_exists d then
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d)))
+  in
   (* stale leftovers from a crashed previous test run *)
-  if Sys.file_exists d then
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d)));
+  rm ();
+  (* forked workers run [at_exit] too: only the creating process removes *)
+  let owner = Unix.getpid () in
+  at_exit (fun () -> if Unix.getpid () = owner then rm ());
   d
 
 (* --- planner ---------------------------------------------------------- *)
@@ -121,6 +127,7 @@ let test_manifest_roundtrip () =
           diffed = 5;
           converged = 6;
           batched = 7;
+          forensic_reruns = 0;
         };
       sm_wall_ns = 123456;
       sm_busy_ns = 111111;
@@ -178,6 +185,7 @@ let mk_manifest (r : Shard.range) =
         diffed = 0;
         converged = 0;
         batched = 0;
+        forensic_reruns = 0;
       };
     sm_wall_ns = 1;
     sm_busy_ns = 1;

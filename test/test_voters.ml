@@ -1,6 +1,6 @@
 (* Pluggable voter library: the four-way detected-vs-silent verdict
    taxonomy is deterministic and engine-invariant — batched and scalar
-   differential (forensics) campaigns both equal the full-rebuild
+   differential campaigns both equal the full-rebuild
    oracle, including detection flags and latencies — on all five paper
    designs built with the detecting voter; and the plain-majority voter reproduces the historical
    (pre-library) campaigns bit-for-bit. *)
@@ -112,13 +112,20 @@ let test_detecting_engine_invariance () =
     (fun strategy ->
       let name = Partition.name strategy ^ "/detecting" in
       let run = Runs.implement_design ~voter:Voter.Detecting ctx strategy in
-      let campaign ?cone_skip ?forensics () =
+      let campaign ?cone_skip ?stop_at_ci () =
         Option.get
-          (Runs.campaign_design ~workers:2 ?cone_skip ?forensics ctx run)
+          (Runs.campaign_design ~workers:2 ?cone_skip ?stop_at_ci ctx run)
             .Runs.campaign
       in
       let oracle = campaign ~cone_skip:false () in
-      let scalar = campaign ~forensics:true () in
+      (* sequential stopping forces the scalar engine; no prefix meets
+         this rule, so the campaign runs in full *)
+      let scalar =
+        campaign
+          ~stop_at_ci:
+            (Tmr_obs.Stats.stop_rule ~min_n:max_int ~half_width:0.5 ())
+          ()
+      in
       let batched = campaign () in
       check_same_results (name ^ ": scalar vs oracle") scalar oracle;
       check_same_results (name ^ ": batched vs oracle") batched oracle;
