@@ -86,8 +86,8 @@ let test_batch_vs_scalar_campaigns () =
     Partition.all_paper_designs;
   Alcotest.(check bool) "batch engine exercised" true (!total_batched > 0)
 
-(* --- campaign-level forensics: every fault of the five reduced
-   designs' fault lists, majority and detecting voters, gets the same
+(* --- campaign-level forensics: every diffable fault of the five
+   reduced designs, majority and detecting voters, gets the same
    verdict and the same forensic record on the batched engine as on the
    scalar one --- *)
 
@@ -177,6 +177,7 @@ let test_forensic_records_batched_eq_scalar () =
         (name ^ ": verdicts and forensic records")
         scalar.Campaign.results batched.Campaign.results)
     (List.map (fun d -> (d, Voter.Majority)) Partition.all_paper_designs
+    (* the standard design has no voters to vary *)
     @ List.filter_map
         (fun d ->
           if d = Partition.Unprotected then None else Some (d, Voter.Detecting))
