@@ -368,9 +368,8 @@ let campaign_bench ~distributed =
   in
   (* the full-rebuild oracle, then the two production engines: batched
      by default, scalar differential under sequential stopping.  The
-     scalar row collects forensics too, as it did when forensics forced
-     the scalar engine; its stop rule is one no prefix meets, so it
-     runs every fault *)
+     scalar row also collects forensics; its stop rule is one no prefix
+     meets, so it runs every fault *)
   let base =
     measure_row ~cone_skip:false ~name:"sequential-rebuild" ~workers:1 ctx run
   in
