@@ -283,7 +283,7 @@ let engine_summary (c : Campaign.t) =
           s.Campaign.batched h.Metrics.count h.Metrics.p50 h.Metrics.p95
     | _ -> Printf.printf "  batch engine: %d faults word-parallel\n" s.Campaign.batched
   end;
-  if Campaign.forensic_summary c <> None then
+  if Campaign.is_forensic c then
     Printf.printf
       "  forensics: %d batch lanes re-ran on the scalar engine for their \
        record\n"

@@ -1254,6 +1254,8 @@ type forensic_summary = {
   fs_voter_masked : int;  (* silent-diverged absorbed at a voter *)
 }
 
+let is_forensic t = Array.exists (fun r -> r.forensics <> None) t.results
+
 let forensic_summary t =
   let s =
     Array.fold_left
@@ -1316,7 +1318,7 @@ let summary_json ?(confidence = 0.95) t =
        t.stats.skipped t.stats.patched t.stats.rerouted t.stats.rebuilt
        t.stats.diffed t.stats.converged t.stats.batched);
   (* only a forensic campaign can re-run a batch lane for its record *)
-  if Array.exists (fun r -> r.forensics <> None) t.results then
+  if is_forensic t then
     Buffer.add_string b
       (Printf.sprintf ",\"forensic_reruns\":%d" t.stats.forensic_reruns);
   Buffer.add_char b '}';

@@ -328,6 +328,9 @@ type forensic_summary = {
   fs_voter_masked : int;  (** silent-diverged faults absorbed at a voter *)
 }
 
+val is_forensic : t -> bool
+(** Whether the campaign's results carry forensic records. *)
+
 val forensic_summary : t -> forensic_summary option
 (** Aggregate over the campaign's forensic records; [None] when the
     campaign ran without forensics. *)
